@@ -11,14 +11,14 @@ Bytes encode_twos_complement(std::int64_t v) {
   // Minimal-length two's complement per BER: strip redundant leading octets.
   Bytes out;
   bool more = true;
-  // Build little-endian then reverse.
-  std::uint64_t u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8 && more; ++i) {
-    out.push_back(static_cast<std::uint8_t>(u & 0xff));
-    const std::int64_t rest = v >> ((i + 1) * 8);
+  // Build little-endian then reverse. Shifting one octet at a time (never
+  // by 64) ends after at most eight octets, when `rest` is all sign bits.
+  std::int64_t rest = v;
+  while (more) {
+    out.push_back(static_cast<std::uint8_t>(rest & 0xff));
+    rest >>= 8;  // arithmetic: keeps the sign
     const bool sign_bit = (out.back() & 0x80) != 0;
     more = !((rest == 0 && !sign_bit) || (rest == -1 && sign_bit));
-    u >>= 8;
   }
   std::reverse(out.begin(), out.end());
   return out;

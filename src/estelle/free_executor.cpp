@@ -152,7 +152,11 @@ void FreeRunningExecutor::route_ledger_locked() {
   // (everything up to session_base_rounds_ is announced): the between-burst
   // mutation is visible from the next round on, exactly where the
   // sequential scheduler would fire it.
-  const auto wake_at_watermark = [this](Slot& slot) {
+  spec_.ready_ledger().drain([this](Module& m) {
+    const int s = m.shard();
+    if (s < 0 || s >= static_cast<int>(shards_.size())) return;
+    shards_[static_cast<std::size_t>(s)].ready.mark(m);
+    Slot& slot = *slots_[static_cast<std::size_t>(s)];
     if (slot.state != SlotState::Passive || slot.wake_pending) return;
     if (session_base_rounds_ > slot.completed) {
       slot.completed = session_base_rounds_;
@@ -162,20 +166,7 @@ void FreeRunningExecutor::route_ledger_locked() {
     }
     slot.wake_pending = true;
     slot.cv.notify_all();
-  };
-  spec_.ready_ledger().drain([this, &wake_at_watermark](Module& m) {
-    const int s = m.shard();
-    if (s < 0 || s >= static_cast<int>(shards_.size())) return;
-    shards_[static_cast<std::size_t>(s)].ready.mark(m);
-    wake_at_watermark(*slots_[static_cast<std::size_t>(s)]);
   });
-  // Re-examine parked shards that still hold sticky-guard modules in their
-  // ready lists: an opaque guard may read state a between-burst hook (stop
-  // predicate, observer) just changed, and only a re-evaluation can see it —
-  // the same conservative rule that keeps dirty-set scheduling exact.
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (shards_[s].ready.has_ready()) wake_at_watermark(*slots_[s]);
-  }
 }
 
 bool FreeRunningExecutor::all_blocked_locked() const {

@@ -88,11 +88,10 @@ void InteractionPoint::deliver(Interaction msg) {
     inject_transfer(std::move(msg), t_shard_now, t_shard_round);
     return;
   }
-  // Only the queue head is offered to when-clauses, so fireability changes
-  // exactly when the delivery creates a new head.
-  const bool new_head = inbox_.empty();
+  // Every delivery marks the owner: when-clauses see only the head, but a
+  // guard may read its own queues' lengths (guard-input contract).
   inbox_.push_back(std::move(msg));
-  if (new_head) owner_.mark_ready();
+  owner_.mark_ready();
 }
 
 std::size_t InteractionPoint::drain_transfers_until(

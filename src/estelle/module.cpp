@@ -21,28 +21,17 @@ bool is_fireable(const Transition& t, Module& m, common::SimTime now,
     if (t.kind != kAnyKind && head->kind != t.kind) return false;
   } else if (t.delay.ns > 0) {
     if (now - m.state_entered_at() < t.delay) {
-      if (probe != nullptr) {
-        // An immature delay defines the module's next wakeup — but, like the
-        // legacy full-tree wakeup scan, only while its guard passes. The
-        // guard evaluation itself makes the module sticky (guard_invoked),
-        // so a later guard flip is caught by the per-round re-evaluation.
-        bool pass = true;
-        if (t.provided) {
-          probe->guard_invoked = true;
-          pass = t.provided(m, nullptr);
-        }
-        if (pass) {
-          const common::SimTime ready = m.state_entered_at() + t.delay;
-          if (ready < probe->next_deadline) probe->next_deadline = ready;
-        }
+      // An immature delay defines the module's next wakeup — but, like the
+      // legacy full-tree wakeup scan, only while its guard passes. A later
+      // guard flip re-marks the module (guard-input contract, ReadinessProbe).
+      if (probe != nullptr && (!t.provided || t.provided(m, nullptr))) {
+        const common::SimTime ready = m.state_entered_at() + t.delay;
+        if (ready < probe->next_deadline) probe->next_deadline = ready;
       }
       return false;
     }
   }
-  if (t.provided) {
-    if (probe != nullptr) probe->guard_invoked = true;
-    if (!t.provided(m, head)) return false;
-  }
+  if (t.provided && !t.provided(m, head)) return false;
   return true;
 }
 

@@ -145,22 +145,26 @@ class ReadyScope;
 
 /// Side-channel of one fireability evaluation, filled by is_fireable() /
 /// select_fireable() when the caller passes one. The event-driven schedulers
-/// (ready_set.hpp) use it to decide when a module must be looked at again:
+/// (ready_set.hpp) use it to learn when a module must be looked at again
+/// even though nothing marks it:
 ///
 ///   next_deadline — earliest future time an immature delay clause scanned
 ///     on the way to (and including) the selected transition could mature.
 ///     Mirrors the legacy full-tree wakeup scan: a guarded delay contributes
-///     only while its guard currently passes (guard flips are caught by the
-///     guard_invoked rule below).
-///   guard_invoked — a `provided` guard was actually evaluated. Guards are
-///     opaque functions that may read state the runtime cannot hook (a
-///     captured budget shared across modules, another queue's length), so a
-///     module whose evaluation consulted any guard stays in the ready set
-///     and is re-examined every round — the conservative rule that keeps
-///     dirty-set scheduling exact even on ill-formed specifications.
+///     only while its guard currently passes.
+///
+/// Everything else that can change a module's fireability must mark it
+/// (Module::mark_ready). That is the guard-input contract, Estelle's own
+/// rule: a `provided` guard reads only its module's own variables and its
+/// own interaction points' queues. The runtime marks the module when it
+/// fires (its action may change its variables), on every delivery to one of
+/// its queues, on every pop, and on state changes. Code that changes a guard
+/// input anywhere else (another module's action reaching into shared state,
+/// a library callback, a between-run driver) must call mark_ready() on the
+/// dependent module itself. ExecutorConfig::verify_ready_set catches a
+/// missing mark as a divergence from the full scan.
 struct ReadinessProbe {
   common::SimTime next_deadline = kNeverTime;
-  bool guard_invoked = false;
 };
 
 /// Specification-owned queue of modules whose fireability may have changed
@@ -303,8 +307,10 @@ class Module {
   /// Enqueue this module into the specification's ready ledger: something
   /// that may change its fireability happened. Idempotent, thread-safe,
   /// no-op before the module joins a specification. Called by the runtime
-  /// hooks (interaction delivery, firing, state changes); user code only
-  /// needs it when mutating fireability inputs the runtime cannot see.
+  /// hooks (interaction delivery, pop, firing, state changes). User code
+  /// must call it whenever it changes one of this module's guard inputs
+  /// from outside this module's own firing — otherwise the dirty-set
+  /// schedulers never re-evaluate the guard (see ReadinessProbe).
   void mark_ready() noexcept;
 
   /// Number of transition guards examined by the last select_fireable()

@@ -68,24 +68,16 @@ void ReadyScope::pop_matured(common::SimTime now) {
 }
 
 void ReadyScope::evaluate(common::SimTime now) {
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    Module* m = ready_[i];
+  for (Module* m : ready_) {
+    m->scope_ready_ = false;
     ReadinessProbe probe;
     const Transition* t = m->select_fireable(now, &probe);
     round_guards_ += static_cast<std::uint64_t>(m->last_scan_effort());
     set_fireable(*m, t);
     if (probe.next_deadline != kNeverTime)
       push_deadline(*m, probe.next_deadline);
-    if (probe.guard_invoked) {
-      // Sticky: a consulted guard may read state no hook can see; keep the
-      // module under per-round re-evaluation until its guards go dormant.
-      ready_[keep++] = m;
-    } else {
-      m->scope_ready_ = false;
-    }
   }
-  ready_.resize(keep);
+  ready_.clear();
 }
 
 void ReadyScope::set_fireable(Module& m, const Transition* t) {

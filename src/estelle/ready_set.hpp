@@ -8,10 +8,12 @@
 // pool already optimized. This header replaces it:
 //
 //   * ReadyLedger (module.hpp) — modules enqueue themselves when something
-//     that can change their fireability happens: a delivery creating a new
-//     queue head (InteractionPoint::deliver / drain_transfers), a head
-//     consumed (pop/clear), a state change or firing, a transition
-//     registered. The executor drains the ledger at round boundaries.
+//     that can change their fireability happens: any delivery into one of
+//     their queues (InteractionPoint::deliver / drain_transfers), a head
+//     consumed (pop/clear), a firing, a state change, a transition
+//     registered — or an explicit Module::mark_ready() from code that
+//     changes a guard input from outside. The executor drains the ledger at
+//     round boundaries.
 //   * ReadyScope — one scheduling domain's persistent state: the ready list
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
@@ -28,19 +30,20 @@
 //     round performs zero heap allocations (rounds_with_allocation counts
 //     the exceptions).
 //
-// Exactness. The candidate list equals a full-tree scan's, every round, by
-// construction of the dirty hooks plus two conservative rules:
-//   * guard stickiness — a module whose evaluation invoked any `provided`
-//     guard stays in the ready set (guards are opaque and may read state the
-//     runtime cannot hook, e.g. a budget shared across modules in the
-//     deliberately ill-formed differential specs);
-//   * deadline mirroring — an immature delay contributes a heap entry only
-//     while its guard passes, matching the legacy wakeup scan; guard flips
-//     are caught by stickiness.
+// Exactness. The candidate list equals a full-tree scan's, every round,
+// under the guard-input contract (ReadinessProbe, module.hpp): a `provided`
+// guard reads only its module's own variables and its own interaction
+// points' queues, and code that changes a guard input from anywhere else
+// marks the dependent module. The runtime hooks above cover every in-module
+// change, so a module is re-evaluated only when something happened to it —
+// an idle module with guarded transitions costs nothing per round.
+// Deadlines mirror the legacy wakeup scan: an immature delay contributes a
+// heap entry only while its guard passes; a later guard flip is an input
+// change and so arrives as a mark.
 // ExecutorConfig::verify_ready_set cross-checks the equality against a
-// reference full scan every round (differential tests run with it on), and
-// ExecutorConfig::full_scan restores the legacy path entirely (the bench
-// baseline).
+// reference full scan every round (differential tests run with it on, and
+// it reports a missing mark as a divergence), and ExecutorConfig::full_scan
+// restores the legacy path entirely (the bench baseline).
 #pragma once
 
 #include <cstdint>
@@ -95,12 +98,6 @@ class ReadyScope {
   /// stale — waking at one merely triggers a re-evaluation that finds
   /// nothing, never a wrong firing.
   [[nodiscard]] common::SimTime next_deadline() const noexcept;
-
-  /// True when modules are queued for re-evaluation (includes sticky-guard
-  /// modules, whose opaque guards may read state no hook can see — a parked
-  /// free-running shard with such modules must be re-examined whenever
-  /// between-round code may have run).
-  [[nodiscard]] bool has_ready() const noexcept { return !ready_.empty(); }
 
   /// Guards examined by the last collect() (its select_fireable scan work).
   [[nodiscard]] std::uint64_t round_guards() const noexcept {

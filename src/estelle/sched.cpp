@@ -67,6 +67,9 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
     head = &*msg;
   }
   t.action(m, head);
+  // The action may have changed the module's own variables, which its guards
+  // read (guard-input contract, ReadinessProbe).
+  m.mark_ready();
   if (t.to_state != kAnyState) {
     m.set_state(t.to_state);
     m.note_state_entry(now);

@@ -111,6 +111,10 @@ void Testbed::advance_streams(common::SimTime dt, common::SimTime tick) {
   }
   core_->step_streams();
   for (auto& sua : suas_) sua->poll(network_.now());
+  // Stream positions are the server MCAs' `m-position` guard input, changed
+  // here from outside any firing (estelle::ReadinessProbe).
+  for (auto& per_client : connections_)
+    for (Connection& conn : per_client) conn.server_mca->mark_ready();
 }
 
 }  // namespace mcam::core

@@ -31,12 +31,15 @@ class StreamProviderAgent {
 
   /// Open a new stream towards `dest`, playing `source` from
   /// `start_frame`. Returns the stream id carried back in the Play response.
+  /// Ids and ports are recycled once their stream stops; throws
+  /// std::length_error when every id or every port is held by a live stream.
   std::uint16_t open_stream(FrameSource source, const net::Address& dest,
                             std::uint64_t start_frame = 0);
 
   common::Status pause(std::uint16_t stream);
   common::Status resume(std::uint16_t stream);
-  /// Stop and tear down; returns the frame position at stop time.
+  /// Stop and tear down (the stream's port is unbound); returns the frame
+  /// position at stop time.
   common::Result<std::uint64_t> stop(std::uint16_t stream);
   common::Result<std::uint64_t> position(std::uint16_t stream) const;
   common::Result<SenderStats> stats(std::uint16_t stream) const;
@@ -54,8 +57,12 @@ class StreamProviderAgent {
     std::unique_ptr<StreamSender> sender;
   };
 
+  std::uint16_t take_stream_id();
+  net::Address take_address();
+
   net::SimNetwork& net_;
   std::string host_;
+  std::uint16_t first_port_;
   std::uint16_t next_port_;
   std::uint16_t next_stream_id_ = 1;
   std::map<std::uint16_t, Entry> streams_;

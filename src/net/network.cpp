@@ -26,6 +26,8 @@ Socket& SimNetwork::open(Address addr) {
   return *it->second;
 }
 
+void SimNetwork::close(const Address& addr) { sockets_.erase(addr); }
+
 void SimNetwork::set_link(const std::string& from_host,
                           const std::string& to_host, Impairments imp) {
   links_[{from_host, to_host}] = imp;

@@ -74,7 +74,7 @@ struct NetStats {
 class SimNetwork;
 
 /// A bound datagram endpoint. Obtained from SimNetwork::open(); owned by the
-/// network (stable reference for the lifetime of the network).
+/// network (stable reference until SimNetwork::close() or the network's end).
 class Socket {
  public:
   Socket(SimNetwork& net, Address addr) : net_(net), addr_(std::move(addr)) {}
@@ -105,6 +105,13 @@ class SimNetwork {
 
   /// Bind a socket; throws if the address is taken.
   Socket& open(Address addr);
+  /// Unbind and destroy the socket at `addr` (references to it dangle); a
+  /// no-op when nothing is bound there. Datagrams still in flight to it are
+  /// dropped on arrival, like any datagram without a listener.
+  void close(const Address& addr);
+  [[nodiscard]] bool bound(const Address& addr) const {
+    return sockets_.contains(addr);
+  }
 
   /// Configure the directed link host→host (applies to all ports).
   void set_link(const std::string& from_host, const std::string& to_host,

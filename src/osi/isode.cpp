@@ -16,6 +16,7 @@ void link(IsodeEntity& a, IsodeEntity& b) {
 
 void IsodeEntity::indicate(Event e, Bytes user_data) {
   inbox_.push_back(Indication{e, std::move(user_data)});
+  if (owner_ != nullptr) owner_->mark_ready();
 }
 
 void IsodeEntity::send_spdu(Spdu type, const Bytes& ppdu) {
@@ -127,6 +128,7 @@ void IsodeEntity::receive_tsdu(const Bytes& tsdu) {
 
 IsodeInterfaceModule::IsodeInterfaceModule(std::string name)
     : Module(std::move(name), estelle::Attribute::Process) {
+  entity_.owner_ = this;
   upper();
   define_transitions();
 }

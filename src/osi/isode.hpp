@@ -44,6 +44,11 @@ struct Indication {
 /// One endpoint of the hand-coded stack. Create two and link() them; calls
 /// on one side synchronously produce indications queued on the other
 /// (shared-memory transport, like ISODE's TP0 loopback).
+///
+/// An entity owned by an IsodeInterfaceModule marks that module ready on
+/// every queued indication: the peer's call runs inside the *peer's* firing,
+/// so it is a guard-input change (the `i-poll` guard) from outside the
+/// owning module (estelle::ReadinessProbe).
 class IsodeEntity {
  public:
   enum class State { kIdle, kWaitConf, kConnInd, kOpen, kRelSent, kRelInd };
@@ -68,12 +73,14 @@ class IsodeEntity {
 
  private:
   friend void link(IsodeEntity& a, IsodeEntity& b);
+  friend class IsodeInterfaceModule;
 
   void receive_tsdu(const common::Bytes& tsdu);
   void indicate(Event e, common::Bytes user_data);
   void send_spdu(Spdu type, const common::Bytes& ppdu);
 
   IsodeEntity* peer_ = nullptr;
+  estelle::Module* owner_ = nullptr;  // marked on every indication
   State state_ = State::kIdle;
   std::deque<Indication> inbox_;
   std::uint64_t pdus_processed_ = 0;

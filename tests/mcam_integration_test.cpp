@@ -4,6 +4,9 @@
 // clients and connections.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "mcam/testbed.hpp"
 
 namespace mcam::core {
@@ -303,9 +306,10 @@ TEST(McamIntegration, TwoClientsThreeConnectionsFig2) {
   EXPECT_EQ(still.value().attrs[0].value, "shared-movie");
 }
 
-TEST(McamIntegration, ControlSurvivesTransportLoss) {
+void control_survives_transport_loss(bool verify_ready_set) {
   Testbed::Config cfg;
   cfg.control_loss = 0.15;  // only meaningful on the Estelle stack
+  cfg.runtime.verify_ready_set = verify_ready_set;
   Testbed bed(cfg);
   preload_movie(bed, "movie-x", 10);
   McamClient client = bed.client(0);
@@ -320,6 +324,89 @@ TEST(McamIntegration, ControlSurvivesTransportLoss) {
                 bed.connection(0).server_stack.transport->retransmissions(),
             0u);
 }
+
+TEST(McamIntegration, ControlSurvivesTransportLoss) {
+  control_survives_transport_loss(/*verify_ready_set=*/false);
+}
+
+// The retransmission timers' guards flip on loss and on acks; each flip has
+// to reach the ready set (a missing mark throws out of run()).
+TEST(McamIntegration, ControlSurvivesTransportLossUnderVerifiedReadySet) {
+  control_survives_transport_loss(/*verify_ready_set=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// The library's modules keep the runtime's guard-input contract
+// (estelle::ReadinessProbe): with verify_ready_set on, every scheduling round
+// is cross-checked against a full tree scan, and a guard input changed
+// without a mark throws out of run(). The ISODE `i-poll` guard is fed from
+// the peer's firing; the server MCA's `m-position` guard from
+// advance_streams; a second, idle association keeps guarded modules around
+// that must not need re-evaluation.
+
+class VerifiedReadySetTest
+    : public ::testing::TestWithParam<std::tuple<StackKind, bool>> {};
+
+TEST_P(VerifiedReadySetTest, SessionLifecycle) {
+  Testbed::Config cfg;
+  cfg.stack = std::get<0>(GetParam());
+  cfg.use_acse = std::get<1>(GetParam());
+  cfg.connections_per_client = 2;
+  cfg.runtime.verify_ready_set = true;
+  Testbed bed(cfg);
+  preload_movie(bed, "verified", 250);
+
+  McamClient client = bed.client(0, 0);
+  McamClient idle = bed.client(0, 1);
+  ASSERT_TRUE(client.associate("alice").ok());
+  ASSERT_TRUE(idle.associate("bob").ok());
+  auto select = client.select_movie("verified");
+  ASSERT_TRUE(select.ok()) << select.error().message;
+  const std::uint64_t movie = select.value().movie_id;
+
+  mtp::StreamUserAgent& sua = bed.make_sua(0, 7000);
+  auto play = client.play(movie, bed.client_host(0), 7000);
+  ASSERT_TRUE(play.ok()) << play.error().message;
+  EXPECT_EQ(play.value().result, ResultCode::Success);
+
+  // Two seconds at 25 fps: the stream passes the report interval, so the
+  // server MCA pushes a PositionInd without being asked.
+  bed.advance_streams(SimTime::from_s(2));
+  EXPECT_GT(sua.stats().frames_complete, 0u);
+  EXPECT_GE(client.poll_notifications(), 1u);
+  ASSERT_FALSE(client.notifications().empty());
+  EXPECT_EQ(client.notifications().back().movie_id, movie);
+  EXPECT_GE(client.notifications().back().frame, 25u);
+
+  ASSERT_TRUE(client.pause(movie).ok());
+  bed.advance_streams(SimTime::from_s(1));
+  ASSERT_TRUE(client.resume(movie).ok());
+  bed.advance_streams(SimTime::from_s(1));
+  auto stop = client.stop(movie);
+  ASSERT_TRUE(stop.ok()) << stop.error().message;
+  EXPECT_GE(stop.value().position, 50u);
+
+  // The idle association still answers.
+  auto attrs = idle.query_attributes(movie, {"title"});
+  ASSERT_TRUE(attrs.ok()) << attrs.error().message;
+  EXPECT_EQ(attrs.value().attrs[0].value, "verified");
+
+  ASSERT_TRUE(client.release().ok());
+  ASSERT_TRUE(idle.release().ok());
+  EXPECT_EQ(bed.server().active_sessions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothStacksWithAndWithoutAcse, VerifiedReadySetTest,
+    ::testing::Combine(::testing::Values(StackKind::EstelleGenerated,
+                                         StackKind::IsodeHandCoded),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == StackKind::EstelleGenerated
+                             ? "EstelleGenerated"
+                             : "IsodeHandCoded") +
+             (std::get<1>(info.param) ? "Acse" : "NoAcse");
+    });
 
 TEST(McamIntegration, StreamAndControlAreSeparateStacks) {
   // Table 1's architectural point: stream impairments must not disturb the

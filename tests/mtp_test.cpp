@@ -343,5 +343,61 @@ TEST(Sps, ErrorsOnUnknownStream) {
   EXPECT_FALSE(spa.stats(99).ok());
 }
 
+TEST(Sps, StopUnbindsAndIdsAndPortsRecycle) {
+  net::SimNetwork net(5, fast_link());
+  StreamProviderAgent spa(net, "server");
+  StreamUserAgent sua(net, {"client", 7000});
+  FrameSource::Config cfg;
+  cfg.total_frames = 10;
+
+  // A stream that stays live through the whole churn, on the first port.
+  const std::uint16_t keep = spa.open_stream(FrameSource(cfg), sua.address());
+  EXPECT_TRUE(net.bound({"server", 5000}));
+
+  // More cycles than there are u16 stream ids or ports: without unbinding
+  // on stop the port range runs out, and without skipping live ids the
+  // counter wraps onto `keep`.
+  constexpr int kCycles = 70000;
+  for (int i = 0; i < kCycles; ++i) {
+    std::uint16_t id = 0;
+    ASSERT_NO_THROW(id = spa.open_stream(FrameSource(cfg), sua.address()))
+        << "cycle " << i;
+    ASSERT_NE(id, 0) << "cycle " << i;
+    ASSERT_NE(id, keep) << "cycle " << i << ": aliases a live stream";
+    ASSERT_EQ(spa.active_streams(), 2u);
+    ASSERT_TRUE(spa.stop(id).ok()) << "cycle " << i;
+  }
+  EXPECT_EQ(spa.active_streams(), 1u);
+  EXPECT_TRUE(net.bound({"server", 5000}));
+  EXPECT_FALSE(net.bound({"server", 5001}));  // freed by stop
+
+  // The survivor still plays, and only its frames reach the client.
+  SimTime t = net.now();
+  for (int i = 0; i < 200 && !spa.finished(keep); ++i) {
+    t += SimTime::from_ms(5);
+    spa.step(net.now());
+    net.run_until(t);
+    sua.poll(net.now());
+  }
+  EXPECT_EQ(sua.stats().frames_complete, 10u);
+  ASSERT_TRUE(spa.stop(keep).ok());
+  EXPECT_FALSE(net.bound({"server", 5000}));
+}
+
+TEST(Sps, DatagramsToAStoppedStreamAreDropped) {
+  net::SimNetwork net(5, fast_link());
+  StreamProviderAgent spa(net, "server");
+  StreamUserAgent sua(net, {"client", 7000});
+  FrameSource::Config cfg;
+  cfg.total_frames = 10;
+  const std::uint16_t id = spa.open_stream(FrameSource(cfg), sua.address());
+  net::Socket& probe = net.open({"client", 7001});
+  probe.send({"server", 5000}, common::Bytes(8, 0x1));
+  ASSERT_TRUE(spa.stop(id).ok());
+  const std::uint64_t dropped = net.stats().dropped;
+  net.run_all();  // arrives after the close: no listener
+  EXPECT_EQ(net.stats().dropped, dropped + 1);
+}
+
 }  // namespace
 }  // namespace mcam::mtp

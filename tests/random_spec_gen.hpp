@@ -283,9 +283,13 @@ inline GeneratedWorld generate(std::uint64_t seed) {
           .provided([budget](Module&, const Interaction*) {
             return *budget > 0;
           })
-          .action([budget, bump](Module& m2, const Interaction*) {
+          .action([budget, bump, &x, &y](Module& m2, const Interaction*) {
             --*budget;
             bump(m2);
+            // The budget is both grabbers' guard input: the firing marks
+            // itself, the sibling must be marked by hand (ReadinessProbe).
+            x.mark_ready();
+            y.mark_ready();
           });
     }
     g.parallelsim_ok = false;

@@ -2,9 +2,10 @@
 //
 // The event-driven schedulers owe one thing above all: the ready-set
 // candidate collection must equal the legacy full-tree scan, every round, on
-// every specification — including the deliberately ill-formed flavors whose
-// guards read state no dirty hook can see (the guard-stickiness rule exists
-// for exactly those). Three layers of checking:
+// every specification that keeps the guard-input contract (ReadinessProbe):
+// a guard reads its own module's variables and queues, and code changing a
+// guard input from elsewhere marks the module — the ill-formed shared-budget
+// flavor does so from its action. Three layers of checking:
 //
 //   * ExecutorConfig::verify_ready_set — the scheduler itself recomputes the
 //     reference full scan after every dirty-set collection and throws on the
@@ -127,19 +128,50 @@ TEST(ReadySetDifferential, ReadyAndFullScanModesAgree) {
 // ---------------------------------------------------------------------------
 // Sparse-activity hot path
 
-/// N idle entities (consumers of never-written channels) plus K ping-pong
-/// pairs exchanging one token forever — the bench_hot_path shape, small.
+/// An open protocol entity with nothing to do, carrying the stack's two
+/// guarded idle transitions: an open transport's `t-retransmit` (a guarded
+/// delay re-armed by to(kOpen)) and a server MCA's `m-position` (a guarded
+/// spontaneous transition). Both guards read only the module's own
+/// variables, which stay zero while it idles.
+class GuardedIdle : public Module {
+ public:
+  static constexpr int kOpen = 1;
+
+  explicit GuardedIdle(std::string name)
+      : Module(std::move(name), Attribute::Process) {
+    set_state(kOpen);
+    trans("t-retransmit")
+        .from(kOpen)
+        .to(kOpen)
+        .delay(SimTime::from_ms(200))
+        .provided([this](Module&, const Interaction*) { return unacked > 0; })
+        .action([this](Module&, const Interaction*) { --unacked; });
+    trans("m-position")
+        .from(kOpen)
+        .priority(20)
+        .provided([this](Module&, const Interaction*) { return reports > 0; })
+        .action([this](Module&, const Interaction*) { --reports; });
+  }
+
+  int unacked = 0;
+  int reports = 0;
+};
+
+/// N idle entities (consumers of never-written channels, optionally
+/// GuardedIdle) plus K ping-pong pairs exchanging one token forever — the
+/// bench_hot_path shape, small.
 struct SparseWorld {
   Specification spec{"sparse"};
   Module* sys = nullptr;
   std::vector<Module*> pongs;
 
-  explicit SparseWorld(int idle, int pairs) {
+  explicit SparseWorld(int idle, int pairs, bool guarded = false) {
     sys = &spec.root().create_child<Module>("sys", Attribute::SystemProcess);
     auto& mute = sys->create_child<Module>("mute", Attribute::Process);
     for (int i = 0; i < idle; ++i) {
-      auto& m = sys->create_child<Module>("idle" + std::to_string(i),
-                                          Attribute::Process);
+      const std::string name = "idle" + std::to_string(i);
+      Module& m = guarded ? sys->create_child<GuardedIdle>(name)
+                          : sys->create_child<Module>(name, Attribute::Process);
       connect(mute.ip("o" + std::to_string(i)), m.ip("in"));
       m.trans("never").when(m.ip("in")).action(
           [](Module&, const Interaction*) {});
@@ -201,6 +233,35 @@ TEST(ReadySetDifferential, SparseWorldExaminesOnlyActiveGuards) {
   EXPECT_GT(steady.fired, 0u);
   EXPECT_EQ(steady.rounds_with_allocation, 0u)
       << "steady-state rounds must not allocate";
+}
+
+TEST(ReadySetDifferential, IdleGuardedModulesCostNothingPerRound) {
+  // The MCAM control shape: most associations open but idle, each holding a
+  // retransmission timer and a position-report guard. A guard is evaluated
+  // again only when one of its inputs changed, so the steady-state scan work
+  // per firing must not grow with the number of idle modules.
+  constexpr int kPairs = 4;  // K = 8 active modules
+  constexpr std::uint64_t kRounds = 200;
+
+  const auto guards_per_firing = [](int idle) {
+    SparseWorld world(idle, kPairs, /*guarded=*/true);
+    auto executor = make_executor(world.spec, {.verify_ready_set = true});
+    // The first run evaluates every module once; measure the next one.
+    const RunReport warm =
+        executor->run({.stop = {StopCondition::max_steps(kRounds)}});
+    EXPECT_EQ(warm.reason, StopReason::StepLimit);
+    const RunReport r =
+        executor->run({.stop = {StopCondition::max_steps(kRounds)}});
+    EXPECT_EQ(r.reason, StopReason::StepLimit);
+    EXPECT_GT(r.fired, 0u);
+    return static_cast<double>(r.guards_examined) /
+           static_cast<double>(r.fired);
+  };
+
+  const double small = guards_per_firing(64);
+  const double large = guards_per_firing(1024);
+  EXPECT_LE(large, 2.0 * small)
+      << "N=64: " << small << " guards/firing, N=1024: " << large;
 }
 
 TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -128,6 +128,20 @@ class Value {
   Bytes content_;                 // primitive form
   std::vector<Value> children_;   // constructed form
 };
+
+/// Child list for sequence/set/application, built by moving each argument
+/// in: `Value::sequence(values(a, b))`. A braced list would go through
+/// std::initializer_list, whose elements are const: `sequence({a, b})`
+/// deep-copies each child, so a leaf nested d lists deep is copied d times.
+/// Only rvalues are accepted, so a copy has to be spelled out by the caller.
+template <typename... Vs>
+  requires(std::is_same_v<Vs, Value> && ...)
+std::vector<Value> values(Vs&&... children) {
+  std::vector<Value> out;
+  out.reserve(sizeof...(children));
+  (out.push_back(std::move(children)), ...);
+  return out;
+}
 
 /// Error codes produced by ASN.1 accessors and the BER decoder.
 enum Asn1Error : int {

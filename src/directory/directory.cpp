@@ -1,9 +1,10 @@
 #include "directory/directory.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <set>
-
-#include "common/strf.hpp"
 
 namespace mcam::directory {
 
@@ -33,65 +34,157 @@ std::optional<Format> format_from(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<std::string> MovieEntry::attribute(
-    const std::string& name) const {
-  if (name == "title") return title;
-  if (name == "format") return format_name(format);
-  if (name == "width") return std::to_string(width);
-  if (name == "height") return std::to_string(height);
-  if (name == "fps") return common::strf("%.3f", fps);
-  if (name == "duration") return std::to_string(duration_frames);
-  if (name == "location-host") return location_host;
-  if (name == "location-path") return location_path;
-  if (name == "rights") return rights;
-  if (name == "size") return std::to_string(size_bytes);
+const char* attr_name(AttrId id) noexcept {
+  switch (id) {
+    case AttrId::Title:
+      return "title";
+    case AttrId::Format:
+      return "format";
+    case AttrId::Width:
+      return "width";
+    case AttrId::Height:
+      return "height";
+    case AttrId::Fps:
+      return "fps";
+    case AttrId::Duration:
+      return "duration";
+    case AttrId::LocationHost:
+      return "location-host";
+    case AttrId::LocationPath:
+      return "location-path";
+    case AttrId::Rights:
+      return "rights";
+    case AttrId::Size:
+      return "size";
+  }
+  return "?";
+}
+
+std::optional<AttrId> attr_id(std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kAttrCount; ++i) {
+    const auto id = static_cast<AttrId>(i);
+    if (name == attr_name(id)) return id;
+  }
   return std::nullopt;
 }
 
-Status MovieEntry::set_attribute(const std::string& name,
+namespace {
+
+template <typename Int>
+std::string_view format_int(Int v, AttrBuffer& buf) {
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
+}
+
+/// Parse all of `text` as a decimal number: no sign on unsigned types, no
+/// leading blanks, no trailing characters.
+template <typename Num>
+bool parse_whole(std::string_view text, Num& out) {
+  Num v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
+
+std::string_view MovieEntry::attribute_text(AttrId id, AttrBuffer& buf) const {
+  switch (id) {
+    case AttrId::Title:
+      return title;
+    case AttrId::Format:
+      return format_name(format);
+    case AttrId::Width:
+      return format_int(width, buf);
+    case AttrId::Height:
+      return format_int(height, buf);
+    case AttrId::Fps: {
+      const int n = std::snprintf(buf.data(), buf.size(), "%.3f", fps);
+      return {buf.data(), static_cast<std::size_t>(std::max(n, 0))};
+    }
+    case AttrId::Duration:
+      return format_int(duration_frames, buf);
+    case AttrId::LocationHost:
+      return location_host;
+    case AttrId::LocationPath:
+      return location_path;
+    case AttrId::Rights:
+      return rights;
+    case AttrId::Size:
+      return format_int(size_bytes, buf);
+  }
+  return {};
+}
+
+std::optional<std::string> MovieEntry::attribute(std::string_view name) const {
+  const auto id = attr_id(name);
+  if (!id) return std::nullopt;
+  AttrBuffer buf;
+  return std::string(attribute_text(*id, buf));
+}
+
+Status MovieEntry::set_attribute(std::string_view name,
                                  const std::string& value) {
-  try {
-    if (name == "title") {
+  const auto id = attr_id(name);
+  if (!id)
+    return Error::make(kBadAttribute,
+                       "unknown attribute " + std::string(name));
+  bool ok = true;
+  switch (*id) {
+    case AttrId::Title:
       title = value;
-    } else if (name == "format") {
+      break;
+    case AttrId::Format: {
       auto f = format_from(value);
       if (!f) return Error::make(kBadAttribute, "unknown format " + value);
       format = *f;
-    } else if (name == "width") {
-      width = std::stoi(value);
-    } else if (name == "height") {
-      height = std::stoi(value);
-    } else if (name == "fps") {
-      fps = std::stod(value);
-    } else if (name == "duration") {
-      duration_frames = std::stoull(value);
-    } else if (name == "location-host") {
-      location_host = value;
-    } else if (name == "location-path") {
-      location_path = value;
-    } else if (name == "rights") {
-      rights = value;
-    } else if (name == "size") {
-      size_bytes = std::stoull(value);
-    } else {
-      return Error::make(kBadAttribute, "unknown attribute " + name);
+      break;
     }
-  } catch (const std::exception&) {
-    return Error::make(kBadAttribute,
-                       "bad value '" + value + "' for attribute " + name);
+    case AttrId::Width:
+      ok = parse_whole(value, width);
+      break;
+    case AttrId::Height:
+      ok = parse_whole(value, height);
+      break;
+    case AttrId::Fps: {
+      double v = 0.0;
+      ok = parse_whole(value, v) && std::isfinite(v);
+      if (ok) fps = v;
+      break;
+    }
+    case AttrId::Duration:
+      ok = parse_whole(value, duration_frames);
+      break;
+    case AttrId::LocationHost:
+      location_host = value;
+      break;
+    case AttrId::LocationPath:
+      location_path = value;
+      break;
+    case AttrId::Rights:
+      rights = value;
+      break;
+    case AttrId::Size:
+      ok = parse_whole(value, size_bytes);
+      break;
   }
+  if (!ok)
+    return Error::make(kBadAttribute, "bad value '" + value +
+                                          "' for attribute " + attr_name(*id));
   return Status{};
 }
 
 std::vector<std::pair<std::string, std::string>> MovieEntry::attributes()
     const {
-  static const char* kNames[] = {"title",         "format",        "width",
-                                 "height",        "fps",           "duration",
-                                 "location-host", "location-path", "rights",
-                                 "size"};
   std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(std::size(kNames));
-  for (const char* name : kNames) out.emplace_back(name, *attribute(name));
+  out.reserve(kAttrCount);
+  AttrBuffer buf;
+  for (std::size_t i = 0; i < kAttrCount; ++i) {
+    const auto id = static_cast<AttrId>(i);
+    out.emplace_back(attr_name(id), attribute_text(id, buf));
+  }
   return out;
 }
 
@@ -101,12 +194,14 @@ std::vector<std::pair<std::string, std::string>> MovieEntry::attributes()
 Filter Filter::present(std::string attr) {
   Filter f;
   f.op_ = Op::Present;
+  f.attr_id_ = attr_id(attr);
   f.attr_ = std::move(attr);
   return f;
 }
 Filter Filter::equal(std::string attr, std::string value) {
   Filter f;
   f.op_ = Op::Equal;
+  f.attr_id_ = attr_id(attr);
   f.attr_ = std::move(attr);
   f.value_ = std::move(value);
   return f;
@@ -114,6 +209,7 @@ Filter Filter::equal(std::string attr, std::string value) {
 Filter Filter::substring(std::string attr, std::string needle) {
   Filter f;
   f.op_ = Op::Substring;
+  f.attr_id_ = attr_id(attr);
   f.attr_ = std::move(attr);
   f.value_ = std::move(needle);
   return f;
@@ -143,14 +239,17 @@ bool Filter::matches(const MovieEntry& entry) const {
     case Op::All:
       return true;
     case Op::Present:
-      return entry.attribute(attr_).has_value();
+      return attr_id_.has_value();
     case Op::Equal: {
-      auto v = entry.attribute(attr_);
-      return v && *v == value_;
+      if (!attr_id_) return false;
+      AttrBuffer buf;
+      return entry.attribute_text(*attr_id_, buf) == value_;
     }
     case Op::Substring: {
-      auto v = entry.attribute(attr_);
-      return v && v->find(value_) != std::string::npos;
+      if (!attr_id_) return false;
+      AttrBuffer buf;
+      return entry.attribute_text(*attr_id_, buf).find(value_) !=
+             std::string_view::npos;
     }
     case Op::And:
       return std::all_of(children_.begin(), children_.end(),
@@ -197,10 +296,9 @@ std::string Filter::to_string() const {
 Dsa::Dsa(std::string domain) : domain_(std::move(domain)) {}
 
 Result<std::uint64_t> Dsa::add(MovieEntry entry) {
-  for (const auto& [id, existing] : entries_)
-    if (existing.title == entry.title)
-      return Error::make(kDuplicateTitle,
-                         "title already present: " + entry.title);
+  if (!by_title_.try_emplace(entry.title, next_id_).second)
+    return Error::make(kDuplicateTitle,
+                       "title already present: " + entry.title);
   entry.id = next_id_++;
   const std::uint64_t id = entry.id;
   entries_.emplace(id, std::move(entry));
@@ -208,21 +306,31 @@ Result<std::uint64_t> Dsa::add(MovieEntry entry) {
 }
 
 Status Dsa::remove(std::uint64_t id) {
-  if (entries_.erase(id) == 0)
-    return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
-  return Status{};
-}
-
-Result<MovieEntry> Dsa::read(std::uint64_t id) const {
   auto it = entries_.find(id);
   if (it == entries_.end())
     return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
-  return it->second;
+  by_title_.erase(it->second.title);
+  entries_.erase(it);
+  return Status{};
+}
+
+const MovieEntry* Dsa::find(std::uint64_t id) const {
+  auto it = entries_.find(id);
+  return it == entries_.end() ? nullptr : &it->second;
+}
+
+const MovieEntry* Dsa::find_title(std::string_view title) const {
+  auto it = by_title_.find(title);
+  return it == by_title_.end() ? nullptr : find(it->second);
+}
+
+Result<MovieEntry> Dsa::read(std::uint64_t id) const {
+  if (const MovieEntry* e = find(id)) return *e;
+  return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
 }
 
 Result<MovieEntry> Dsa::find_by_title(const std::string& title) const {
-  for (const auto& [id, entry] : entries_)
-    if (entry.title == title) return entry;
+  if (const MovieEntry* e = find_title(title)) return *e;
   return Error::make(kNoSuchEntry, "no movie titled '" + title + "'");
 }
 
@@ -231,7 +339,16 @@ Status Dsa::modify(std::uint64_t id, const std::string& attr,
   auto it = entries_.find(id);
   if (it == entries_.end())
     return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
-  return it->second.set_attribute(attr, value);
+  MovieEntry& entry = it->second;
+  if (attr_id(attr) != AttrId::Title) return entry.set_attribute(attr, value);
+  if (value == entry.title) return Status{};
+  if (by_title_.contains(value))
+    return Error::make(kDuplicateTitle, "title already present: " + value);
+  auto node = by_title_.extract(entry.title);
+  node.key() = value;
+  by_title_.insert(std::move(node));
+  entry.title = value;
+  return Status{};
 }
 
 std::vector<MovieEntry> Dsa::search(const Filter& filter) const {
@@ -252,10 +369,9 @@ std::vector<MovieEntry> Dsa::search_chained(const Filter& filter,
   for (int hop = 0; hop <= hop_limit && !frontier.empty(); ++hop) {
     std::vector<const Dsa*> next;
     for (const Dsa* dsa : frontier) {
-      for (MovieEntry entry : dsa->search(filter)) {
-        if (seen.emplace(dsa->domain_, entry.id).second)
-          out.push_back(std::move(entry));
-      }
+      for (const auto& [id, entry] : dsa->entries_)
+        if (filter.matches(entry) && seen.emplace(dsa->domain_, id).second)
+          out.push_back(entry);
       for (Dsa* peer : dsa->peers_)
         if (visited.insert(peer).second) next.push_back(peer);
     }

@@ -9,11 +9,15 @@
 // forwarded to peer DSAs, hop-limited).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -26,6 +30,28 @@ enum class Format { RawRgb, Colormap, Mjpeg, Mpeg1 };
 
 [[nodiscard]] const char* format_name(Format f) noexcept;
 [[nodiscard]] std::optional<Format> format_from(const std::string& name);
+
+/// The generic attribute names, in the stable order `attributes()` lists.
+enum class AttrId : std::uint8_t {
+  Title,
+  Format,
+  Width,
+  Height,
+  Fps,
+  Duration,
+  LocationHost,
+  LocationPath,
+  Rights,
+  Size,
+};
+inline constexpr std::size_t kAttrCount = 10;
+
+[[nodiscard]] const char* attr_name(AttrId id) noexcept;
+[[nodiscard]] std::optional<AttrId> attr_id(std::string_view name) noexcept;
+
+/// Scratch space a numeric attribute is formatted into. Large enough for any
+/// `%.3f` double: DBL_MAX has 309 integer digits.
+using AttrBuffer = std::array<char, 320>;
 
 /// One directory entry. Fixed schema plus the generic attribute view used
 /// by the MCAM AttributeQuery/AttributeModify operations.
@@ -42,18 +68,26 @@ struct MovieEntry {
   std::string rights = "public";
   std::uint64_t size_bytes = 0;
 
+  /// Attribute `id` as text, without allocating: string fields are viewed
+  /// in place, numeric fields are formatted into `buf` (fps as `%.3f`). The
+  /// view lives as long as both this entry and `buf` are unchanged.
+  [[nodiscard]] std::string_view attribute_text(AttrId id,
+                                                AttrBuffer& buf) const;
   /// Generic attribute access. Known names: title, format, width, height,
   /// fps, duration, location-host, location-path, rights, size.
   [[nodiscard]] std::optional<std::string> attribute(
-      const std::string& name) const;
-  common::Status set_attribute(const std::string& name,
+      std::string_view name) const;
+  /// Numeric values must be a whole decimal number (unsigned ones without a
+  /// sign, fps finite); anything else is kBadAttribute.
+  common::Status set_attribute(std::string_view name,
                                const std::string& value);
   /// All attributes as (name, value) pairs, stable order.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> attributes()
       const;
 };
 
-/// X.500-style search filter.
+/// X.500-style search filter. The attribute name is resolved once, when the
+/// filter is built, and `matches` reads values without allocating.
 class Filter {
  public:
   static Filter present(std::string attr);
@@ -81,6 +115,7 @@ class Filter {
 
  private:
   Op op_ = Op::All;
+  std::optional<AttrId> attr_id_;  // resolved attr_; empty if unknown
   std::string attr_;
   std::string value_;
   std::vector<Filter> children_;
@@ -96,6 +131,11 @@ enum DirectoryError : int {
 /// Directory System Agent: one per administrative domain (server host).
 /// Peers form the distributed directory; search_chained consults them when
 /// the local base has no match.
+///
+/// Cost model: title lookups (find_title, find_by_title, and the duplicate
+/// checks of add and modify) go through a hashed title -> id index, O(1).
+/// search and search_chained scan every entry with an allocation-free
+/// filter and copy only the hits.
 class Dsa {
  public:
   explicit Dsa(std::string domain);
@@ -105,8 +145,14 @@ class Dsa {
   /// Add an entry (id assigned). Titles are unique per DSA.
   common::Result<std::uint64_t> add(MovieEntry entry);
   common::Status remove(std::uint64_t id);
+  /// The entry itself, read in place; nullptr if absent. Valid until the
+  /// entry is removed.
+  [[nodiscard]] const MovieEntry* find(std::uint64_t id) const;
+  [[nodiscard]] const MovieEntry* find_title(std::string_view title) const;
   [[nodiscard]] common::Result<MovieEntry> read(std::uint64_t id) const;
   common::Result<MovieEntry> find_by_title(const std::string& title) const;
+  /// A title rename to a title another entry holds is kDuplicateTitle;
+  /// renaming an entry to its own title succeeds and changes nothing.
   common::Status modify(std::uint64_t id, const std::string& attr,
                         const std::string& value);
 
@@ -120,9 +166,19 @@ class Dsa {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  struct TitleHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::string domain_;
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, MovieEntry> entries_;
+  // Ids, not pointers into entries_, so a copied Dsa stays consistent.
+  std::unordered_map<std::string, std::uint64_t, TitleHash, std::equal_to<>>
+      by_title_;
   std::vector<Dsa*> peers_;
 };
 

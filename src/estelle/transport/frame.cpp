@@ -153,18 +153,19 @@ Value frame_value(const Frame& f) {
   std::vector<Value> body;
   switch (f.type) {
     case FrameType::Hello:
-      body = {u64v(f.node),      u64v(f.nodes),
-              u64v(f.shards),    u64v(f.spec_hash),
-              u64v(f.topology_version), u64v(f.assign_hash)};
+      body = asn1::values(u64v(f.node), u64v(f.nodes), u64v(f.shards),
+                          u64v(f.spec_hash), u64v(f.topology_version),
+                          u64v(f.assign_hash));
       break;
     case FrameType::Welcome:
-      body = {u64v(f.node), Value::boolean(f.accept),
-              Value::utf8string(f.reason)};
+      body = asn1::values(u64v(f.node), Value::boolean(f.accept),
+                          Value::utf8string(f.reason));
       break;
     case FrameType::Transfer: {
-      body = {u64v(f.channel),     Value::integer(f.dir),
-              u64v(f.round),       Value::integer(f.sent_at_ns),
-              Value::integer(f.msg.kind), Value::octet_string(f.msg.payload)};
+      body = asn1::values(u64v(f.channel), Value::integer(f.dir),
+                          u64v(f.round), Value::integer(f.sent_at_ns),
+                          Value::integer(f.msg.kind),
+                          Value::octet_string(f.msg.payload));
       // The structured parameters travel as-is — the Interaction's value IS
       // an ASN.1 value, wrapped [0] EXPLICIT only to mark presence.
       if (!(f.msg.value == Value()))
@@ -173,26 +174,29 @@ Value frame_value(const Frame& f) {
     }
     case FrameType::Advertise:
     case FrameType::NullRound:
-      body = {u64v(f.shard), u64v(f.round)};
+      body = asn1::values(u64v(f.shard), u64v(f.round));
       break;
     case FrameType::RoundDone:
-      body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
+      body = asn1::values(u64v(f.node), u64v(f.round),
+                          Value::boolean(f.quiescent));
       break;
     case FrameType::Probe:
-      body = {u64v(f.node), u64v(f.epoch)};
+      body = asn1::values(u64v(f.node), u64v(f.epoch));
       break;
     case FrameType::ProbeAck:
-      body = {u64v(f.node), u64v(f.epoch), Value::boolean(f.quiescent),
-              u64v(f.sent), u64v(f.recv)};
+      body = asn1::values(u64v(f.node), u64v(f.epoch),
+                          Value::boolean(f.quiescent), u64v(f.sent),
+                          u64v(f.recv));
       break;
     case FrameType::Bye:
-      body = {u64v(f.node)};
+      body = asn1::values(u64v(f.node));
       break;
     case FrameType::HelloResume:
-      body = {u64v(f.node), u64v(f.spec_hash), u64v(f.epoch), u64v(f.recv)};
+      body = asn1::values(u64v(f.node), u64v(f.spec_hash), u64v(f.epoch),
+                          u64v(f.recv));
       break;
     case FrameType::SessionAck:
-      body = {u64v(f.recv)};
+      body = asn1::values(u64v(f.recv));
       break;
     case FrameType::TransferBatch: {
       // Reference encoding only: encode_frame_to routes batches through the
@@ -200,14 +204,14 @@ Value frame_value(const Frame& f) {
       std::vector<Value> entries;
       entries.reserve(f.entries.size());
       for (const TransferEntry& e : f.entries) {
-        std::vector<Value> ev = {u64v(e.channel), Value::integer(e.dir),
-                                 Value::integer(e.sent_at_ns),
-                                 Value::integer(e.msg.kind),
-                                 Value::octet_string(e.msg.payload)};
+        std::vector<Value> ev = asn1::values(
+            u64v(e.channel), Value::integer(e.dir),
+            Value::integer(e.sent_at_ns), Value::integer(e.msg.kind),
+            Value::octet_string(e.msg.payload));
         if (has_value(e.msg)) ev.push_back(Value::context(0, e.msg.value));
         entries.push_back(Value::sequence(std::move(ev)));
       }
-      body = {u64v(f.round), Value::sequence(std::move(entries))};
+      body = asn1::values(u64v(f.round), Value::sequence(std::move(entries)));
       break;
     }
   }

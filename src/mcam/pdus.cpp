@@ -5,6 +5,7 @@
 namespace mcam::core {
 
 using asn1::Value;
+using asn1::values;
 using common::Error;
 using common::Result;
 
@@ -76,7 +77,7 @@ Value enc_attrs(const std::vector<Attr>& attrs) {
   rows.reserve(attrs.size());
   for (const Attr& a : attrs)
     rows.push_back(Value::sequence(
-        {Value::ia5string(a.name), Value::ia5string(a.value)}));
+        values(Value::ia5string(a.name), Value::ia5string(a.value))));
   return Value::sequence(std::move(rows));
 }
 
@@ -184,13 +185,13 @@ asn1::Value encode_filter(const directory::Filter& filter) {
     case Filter::Op::Not:
       return Value::context(2, encode_filter(filter.children().front()));
     case Filter::Op::Equal:
-      return Value::context(3,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
+      return Value::context(
+          3, Value::sequence(values(Value::ia5string(filter.attr()),
+                                    Value::ia5string(filter.value()))));
     case Filter::Op::Substring:
-      return Value::context(4,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
+      return Value::context(
+          4, Value::sequence(values(Value::ia5string(filter.attr()),
+                                    Value::ia5string(filter.value()))));
     case Filter::Op::Present:
       return Value::context(5, Value::ia5string(filter.attr()));
     case Filter::Op::All:
@@ -296,42 +297,43 @@ Bytes encode(const Pdu& pdu) {
       [](const auto& p) -> std::vector<Value> {
         using T = std::decay_t<decltype(p)>;
         if constexpr (std::is_same_v<T, AssociateReq>) {
-          return {Value::ia5string(p.user), Value::integer(p.version)};
+          return values(Value::ia5string(p.user), Value::integer(p.version));
         } else if constexpr (std::is_same_v<T, AssociateResp>) {
-          return {enc_result(p.result), Value::ia5string(p.diagnostic)};
+          return values(enc_result(p.result), Value::ia5string(p.diagnostic));
         } else if constexpr (std::is_same_v<T, ReleaseReq> ||
                              std::is_same_v<T, ReleaseResp>) {
-          return {};
+          return values();
         } else if constexpr (std::is_same_v<T, MovieCreateReq>) {
-          return {Value::ia5string(p.title), enc_attrs(p.attrs)};
+          return values(Value::ia5string(p.title), enc_attrs(p.attrs));
         } else if constexpr (std::is_same_v<T, MovieCreateResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(enc_result(p.result),
+                        Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, MovieDeleteReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, MovieDeleteResp>) {
-          return {enc_result(p.result)};
+          return values(enc_result(p.result));
         } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
-          return {Value::ia5string(p.title)};
+          return values(Value::ia5string(p.title));
         } else if constexpr (std::is_same_v<T, MovieSelectResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_attrs(p.attrs)};
+          return values(enc_result(p.result),
+                        Value::integer(static_cast<std::int64_t>(p.movie_id)),
+                        enc_attrs(p.attrs));
         } else if constexpr (std::is_same_v<T, AttrQueryReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_names(p.names)};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
+                        enc_names(p.names));
         } else if constexpr (std::is_same_v<T, AttrQueryResp>) {
-          return {enc_result(p.result), enc_attrs(p.attrs)};
+          return values(enc_result(p.result), enc_attrs(p.attrs));
         } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_attrs(p.attrs)};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
+                        enc_attrs(p.attrs));
         } else if constexpr (std::is_same_v<T, AttrModifyResp>) {
-          return {enc_result(p.result)};
+          return values(enc_result(p.result));
         } else if constexpr (std::is_same_v<T, PlayReq>) {
-          std::vector<Value> fields = {
-              Value::integer(static_cast<std::int64_t>(p.movie_id)),
-              Value::integer(static_cast<std::int64_t>(p.start_frame)),
-              Value::ia5string(p.dest_host), Value::integer(p.dest_port)};
+          std::vector<Value> fields =
+              values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
+                     Value::integer(static_cast<std::int64_t>(p.start_frame)),
+                     Value::ia5string(p.dest_host),
+                     Value::integer(p.dest_port));
           // §6 QoS extension: OPTIONAL context-tagged fields.
           if (p.qos_max_delay_ms != 0)
             fields.push_back(Value::context(0, Value::integer(p.qos_max_delay_ms)));
@@ -340,62 +342,66 @@ Bytes encode(const Pdu& pdu) {
                 Value::context(1, Value::integer(p.qos_max_jitter_ms)));
           return fields;
         } else if constexpr (std::is_same_v<T, PlayResp>) {
-          return {enc_result(p.result), Value::integer(p.stream_id)};
+          return values(enc_result(p.result), Value::integer(p.stream_id));
         } else if constexpr (std::is_same_v<T, StopReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, StopResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.position))};
+          return values(enc_result(p.result),
+                        Value::integer(static_cast<std::int64_t>(p.position)));
         } else if constexpr (std::is_same_v<T, PauseReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, PauseResp>) {
-          return {enc_result(p.result)};
+          return values(enc_result(p.result));
         } else if constexpr (std::is_same_v<T, ResumeReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, ResumeResp>) {
-          return {enc_result(p.result)};
+          return values(enc_result(p.result));
         } else if constexpr (std::is_same_v<T, RecordReq>) {
-          return {Value::ia5string(p.title), Value::integer(p.equipment_id),
-                  enc_attrs(p.attrs)};
+          return values(Value::ia5string(p.title),
+                        Value::integer(p.equipment_id), enc_attrs(p.attrs));
         } else if constexpr (std::is_same_v<T, RecordResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(enc_result(p.result),
+                        Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, RecordStopReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
         } else if constexpr (std::is_same_v<T, RecordStopResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.frames))};
+          return values(enc_result(p.result),
+                        Value::integer(static_cast<std::int64_t>(p.frames)));
         } else if constexpr (std::is_same_v<T, EquipListReq>) {
-          return {Value::integer(p.kind)};
+          return values(Value::integer(p.kind));
         } else if constexpr (std::is_same_v<T, EquipListResp>) {
           std::vector<Value> rows;
+          rows.reserve(p.items.size());
           for (const EquipItem& item : p.items)
             rows.push_back(Value::sequence(
-                {Value::integer(item.id), Value::integer(item.kind),
-                 Value::ia5string(item.name), Value::boolean(item.powered),
-                 Value::ia5string(item.reserved_by)}));
-          return {enc_result(p.result), Value::sequence(std::move(rows))};
+                values(Value::integer(item.id), Value::integer(item.kind),
+                       Value::ia5string(item.name),
+                       Value::boolean(item.powered),
+                       Value::ia5string(item.reserved_by))));
+          return values(enc_result(p.result), Value::sequence(std::move(rows)));
         } else if constexpr (std::is_same_v<T, EquipControlReq>) {
-          return {Value::integer(p.equipment_id), Value::integer(p.command),
-                  Value::ia5string(p.param), Value::integer(p.value)};
+          return values(Value::integer(p.equipment_id),
+                        Value::integer(p.command), Value::ia5string(p.param),
+                        Value::integer(p.value));
         } else if constexpr (std::is_same_v<T, EquipControlResp>) {
-          return {enc_result(p.result), Value::boolean(p.powered),
-                  Value::integer(p.value), Value::ia5string(p.reserved_by)};
+          return values(enc_result(p.result), Value::boolean(p.powered),
+                        Value::integer(p.value),
+                        Value::ia5string(p.reserved_by));
         } else if constexpr (std::is_same_v<T, MovieSearchReq>) {
-          return {encode_filter(p.filter), Value::boolean(p.chained)};
+          return values(encode_filter(p.filter), Value::boolean(p.chained));
         } else if constexpr (std::is_same_v<T, MovieSearchResp>) {
           std::vector<Value> hits;
           hits.reserve(p.hits.size());
           for (const SearchHit& hit : p.hits)
             hits.push_back(Value::sequence(
-                {Value::integer(static_cast<std::int64_t>(hit.movie_id)),
-                 enc_attrs(hit.attrs)}));
-          return {enc_result(p.result), Value::sequence(std::move(hits))};
+                values(Value::integer(static_cast<std::int64_t>(hit.movie_id)),
+                       enc_attrs(hit.attrs))));
+          return values(enc_result(p.result), Value::sequence(std::move(hits)));
         } else if constexpr (std::is_same_v<T, PositionInd>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  Value::integer(static_cast<std::int64_t>(p.frame))};
+          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
+                        Value::integer(static_cast<std::int64_t>(p.frame)));
         } else {  // ErrorResp
-          return {enc_result(p.result), Value::ia5string(p.diagnostic)};
+          return values(enc_result(p.result), Value::ia5string(p.diagnostic));
         }
       },
       pdu);

@@ -8,6 +8,27 @@ using common::Error;
 using common::Result;
 using directory::MovieEntry;
 
+namespace {
+
+/// Every attribute of `e`, in the directory's stable order.
+std::vector<Attr> all_attrs(const MovieEntry& e) {
+  std::vector<Attr> out;
+  out.reserve(directory::kAttrCount);
+  directory::AttrBuffer buf;
+  for (std::size_t i = 0; i < directory::kAttrCount; ++i) {
+    const auto id = static_cast<directory::AttrId>(i);
+    out.push_back(
+        Attr{directory::attr_name(id), std::string(e.attribute_text(id, buf))});
+  }
+  return out;
+}
+
+bool may_access(const MovieEntry& e, const std::string& user) {
+  return e.rights == "public" || e.rights == user;
+}
+
+}  // namespace
+
 McamServerCore::McamServerCore(net::SimNetwork& net, std::string host)
     : net_(net),
       host_(host),
@@ -112,10 +133,9 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           s.selected.insert(id.value());
           return MovieCreateResp{ResultCode::Success, id.value()};
         } else if constexpr (std::is_same_v<T, MovieDeleteReq>) {
-          auto movie = dsa_.read(req.movie_id);
-          if (!movie.ok()) return MovieDeleteResp{ResultCode::NoSuchMovie};
-          if (movie.value().rights != "public" &&
-              movie.value().rights != s.user)
+          const MovieEntry* movie = dsa_.find(req.movie_id);
+          if (movie == nullptr) return MovieDeleteResp{ResultCode::NoSuchMovie};
+          if (!may_access(*movie, s.user))
             return MovieDeleteResp{ResultCode::AccessDenied};
           if (s.playing.contains(req.movie_id))
             return MovieDeleteResp{ResultCode::AlreadyPlaying};
@@ -123,50 +143,51 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           s.selected.erase(req.movie_id);
           return MovieDeleteResp{ResultCode::Success};
         } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
-          auto movie = dsa_.find_by_title(req.title);
-          if (!movie.ok()) {
+          const MovieEntry* movie = dsa_.find_title(req.title);
+          std::vector<MovieEntry> chained;
+          if (movie == nullptr) {
             // Consult peer DSAs (distributed directory).
-            auto chained = dsa_.search_chained(
+            chained = dsa_.search_chained(
                 directory::Filter::equal("title", req.title));
             if (chained.empty())
               return MovieSelectResp{ResultCode::NoSuchMovie, 0, {}};
-            movie = chained.front();
+            movie = &chained.front();
           }
-          const MovieEntry& e = movie.value();
-          if (e.rights != "public" && e.rights != s.user)
+          if (!may_access(*movie, s.user))
             return MovieSelectResp{ResultCode::AccessDenied, 0, {}};
-          s.selected.insert(e.id);
-          std::vector<Attr> attrs;
-          for (auto& [name, value] : e.attributes())
-            attrs.push_back(Attr{name, value});
-          return MovieSelectResp{ResultCode::Success, e.id, std::move(attrs)};
+          s.selected.insert(movie->id);
+          return MovieSelectResp{ResultCode::Success, movie->id,
+                                 all_attrs(*movie)};
         }
 
         // ---- movie management ----
         else if constexpr (std::is_same_v<T, AttrQueryReq>) {
-          auto movie = dsa_.read(req.movie_id);
-          if (!movie.ok()) return AttrQueryResp{ResultCode::NoSuchMovie, {}};
+          const MovieEntry* movie = dsa_.find(req.movie_id);
+          if (movie == nullptr)
+            return AttrQueryResp{ResultCode::NoSuchMovie, {}};
+          if (req.names.empty())
+            return AttrQueryResp{ResultCode::Success, all_attrs(*movie)};
           std::vector<Attr> attrs;
-          if (req.names.empty()) {
-            for (auto& [name, value] : movie.value().attributes())
-              attrs.push_back(Attr{name, value});
-          } else {
-            for (const std::string& name : req.names) {
-              auto v = movie.value().attribute(name);
-              if (!v) return AttrQueryResp{ResultCode::BadAttribute, {}};
-              attrs.push_back(Attr{name, *v});
-            }
+          attrs.reserve(req.names.size());
+          directory::AttrBuffer buf;
+          for (const std::string& name : req.names) {
+            const auto id = directory::attr_id(name);
+            if (!id) return AttrQueryResp{ResultCode::BadAttribute, {}};
+            attrs.push_back(
+                Attr{name, std::string(movie->attribute_text(*id, buf))});
           }
           return AttrQueryResp{ResultCode::Success, std::move(attrs)};
         } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
-          auto movie = dsa_.read(req.movie_id);
-          if (!movie.ok()) return AttrModifyResp{ResultCode::NoSuchMovie};
-          if (movie.value().rights != "public" &&
-              movie.value().rights != s.user)
+          const MovieEntry* movie = dsa_.find(req.movie_id);
+          if (movie == nullptr) return AttrModifyResp{ResultCode::NoSuchMovie};
+          if (!may_access(*movie, s.user))
             return AttrModifyResp{ResultCode::AccessDenied};
           for (const Attr& a : req.attrs) {
             if (auto st = dsa_.modify(req.movie_id, a.name, a.value); !st.ok())
-              return AttrModifyResp{ResultCode::BadAttribute};
+              return AttrModifyResp{
+                  st.error().code == directory::kDuplicateTitle
+                      ? ResultCode::DuplicateMovie
+                      : ResultCode::BadAttribute};
           }
           return AttrModifyResp{ResultCode::Success};
         }
@@ -178,14 +199,10 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           const auto matches = req.chained
                                    ? dsa_.search_chained(req.filter)
                                    : dsa_.search(req.filter);
+          resp.hits.reserve(matches.size());
           for (const MovieEntry& e : matches) {
-            if (e.rights != "public" && e.rights != s.user)
-              continue;  // invisible to other users
-            SearchHit hit;
-            hit.movie_id = e.id;
-            for (auto& [name, value] : e.attributes())
-              hit.attrs.push_back(Attr{name, value});
-            resp.hits.push_back(std::move(hit));
+            if (!may_access(e, s.user)) continue;  // invisible to other users
+            resp.hits.push_back(SearchHit{e.id, all_attrs(e)});
           }
           return resp;
         }
@@ -199,10 +216,10 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
             return PlayResp{ResultCode::NotSelected, 0};
           if (s.playing.contains(req.movie_id))
             return PlayResp{ResultCode::AlreadyPlaying, 0};
-          auto movie = dsa_.read(req.movie_id);
-          if (!movie.ok()) return PlayResp{ResultCode::NoSuchMovie, 0};
+          const MovieEntry* movie = dsa_.find(req.movie_id);
+          if (movie == nullptr) return PlayResp{ResultCode::NoSuchMovie, 0};
           const std::uint16_t stream = spa_.open_stream(
-              source_for(movie.value()),
+              source_for(*movie),
               net::Address{req.dest_host, req.dest_port}, req.start_frame);
           s.playing.emplace(req.movie_id, stream);
           return PlayResp{ResultCode::Success, stream};
@@ -258,8 +275,8 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           auto it = s.recording.find(req.movie_id);
           if (it == s.recording.end())
             return RecordStopResp{ResultCode::NotPlaying, 0};
-          auto movie = dsa_.read(req.movie_id);
-          const double fps = movie.ok() ? movie.value().fps : 25.0;
+          const MovieEntry* movie = dsa_.find(req.movie_id);
+          const double fps = movie != nullptr ? movie->fps : 25.0;
           const double elapsed_s = (net_.now() - it->second).seconds();
           const auto frames =
               static_cast<std::uint64_t>(std::max(0.0, elapsed_s * fps));

@@ -5,6 +5,7 @@
 namespace mcam::osi {
 
 using asn1::Value;
+using asn1::values;
 using common::Bytes;
 using common::Error;
 using common::Result;
@@ -34,30 +35,30 @@ Bytes user_info_of(const Value& apdu) {
 Bytes build_aarq(const std::vector<std::uint32_t>& context,
                  const Bytes& user_information) {
   return asn1::encode(Value::application(
-      kTagAarq, {Value::integer(1), Value::oid(context),
-                 user_info(user_information)}));
+      kTagAarq, values(Value::integer(1), Value::oid(context),
+                       user_info(user_information))));
 }
 
 Bytes build_aare(AcseResult result, const std::vector<std::uint32_t>& context,
                  const Bytes& user_information) {
   return asn1::encode(Value::application(
-      kTagAare, {Value::enumerated(static_cast<int>(result)),
-                 Value::oid(context), user_info(user_information)}));
+      kTagAare, values(Value::enumerated(static_cast<int>(result)),
+                       Value::oid(context), user_info(user_information))));
 }
 
 Bytes build_rlrq(int reason, const Bytes& user_information) {
   return asn1::encode(Value::application(
-      kTagRlrq, {Value::integer(reason), user_info(user_information)}));
+      kTagRlrq, values(Value::integer(reason), user_info(user_information))));
 }
 
 Bytes build_rlre(int reason, const Bytes& user_information) {
   return asn1::encode(Value::application(
-      kTagRlre, {Value::integer(reason), user_info(user_information)}));
+      kTagRlre, values(Value::integer(reason), user_info(user_information))));
 }
 
 Bytes build_abrt(int source) {
   return asn1::encode(
-      Value::application(kTagAbrt, {Value::enumerated(source)}));
+      Value::application(kTagAbrt, values(Value::enumerated(source))));
 }
 
 Result<AcseApdu> parse_acse(const Bytes& raw) {

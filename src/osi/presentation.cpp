@@ -5,6 +5,7 @@
 namespace mcam::osi {
 
 using asn1::Value;
+using asn1::values;
 using common::Bytes;
 using estelle::Interaction;
 using estelle::kAnyState;
@@ -22,44 +23,36 @@ Bytes wrap(std::uint32_t tag, Value body) {
 }  // namespace
 
 Bytes build_cp(int context_id, const Bytes& user_data) {
-  Value ctx = Value::sequence({
-      Value::integer(context_id),
-      Value::oid(oids::kMcamAbstractSyntax),
-      Value::sequence({Value::oid(oids::kBerTransferSyntax)}),
-  });
-  Value body = Value::sequence({
-      Value::sequence({std::move(ctx)}),
-      Value::context(0, Value::octet_string(user_data)),
-  });
+  Value ctx = Value::sequence(
+      values(Value::integer(context_id), Value::oid(oids::kMcamAbstractSyntax),
+             Value::sequence(values(Value::oid(oids::kBerTransferSyntax)))));
+  Value body = Value::sequence(
+      values(Value::sequence(values(std::move(ctx))),
+             Value::context(0, Value::octet_string(user_data))));
   return wrap(kTagCp, std::move(body));
 }
 
 Bytes build_cpa(int context_id, const Bytes& user_data) {
-  Value result = Value::sequence({
-      Value::integer(context_id),
-      Value::enumerated(0),  // acceptance
-      Value::oid(oids::kBerTransferSyntax),
-  });
-  Value body = Value::sequence({
-      Value::sequence({std::move(result)}),
-      Value::context(0, Value::octet_string(user_data)),
-  });
+  Value result = Value::sequence(
+      values(Value::integer(context_id),
+             Value::enumerated(0),  // acceptance
+             Value::oid(oids::kBerTransferSyntax)));
+  Value body = Value::sequence(
+      values(Value::sequence(values(std::move(result))),
+             Value::context(0, Value::octet_string(user_data))));
   return wrap(kTagCpa, std::move(body));
 }
 
 Bytes build_cpr(int reason, const Bytes& user_data) {
-  Value body = Value::sequence({
-      Value::enumerated(reason),
-      Value::context(0, Value::octet_string(user_data)),
-  });
+  Value body = Value::sequence(
+      values(Value::enumerated(reason),
+             Value::context(0, Value::octet_string(user_data))));
   return wrap(kTagCpr, std::move(body));
 }
 
 Bytes build_td(int context_id, const Bytes& user_data) {
-  Value body = Value::sequence({
-      Value::integer(context_id),
-      Value::octet_string(user_data),
-  });
+  Value body = Value::sequence(
+      values(Value::integer(context_id), Value::octet_string(user_data)));
   return wrap(kTagTd, std::move(body));
 }
 

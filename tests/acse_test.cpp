@@ -28,6 +28,22 @@ TEST(AcseCodec, AarqRoundTrip) {
   EXPECT_EQ(apdu.value().user_information, user);
 }
 
+std::string hex(const Bytes& b) { return common::hexdump(b, b.size()); }
+
+// Golden octets, captured before the builders assembled their value trees by
+// move: how an APDU is built must never change what goes on the wire.
+TEST(AcseCodec, GoldenWireBytes) {
+  EXPECT_EQ(hex(build_aarq(oids::kMcamApplicationContext,
+                           common::to_bytes("associate-req-pdu"))),
+            "60 1e 02 01 01 06 04 2b ce 0f 02 be 13 04 11 61 "
+            "73 73 6f 63 69 61 74 65 2d 72 65 71 2d 70 64 75");
+  EXPECT_EQ(hex(build_aare(AcseResult::Accepted,
+                           oids::kMcamApplicationContext,
+                           common::to_bytes("ok"))),
+            "61 0f 0a 01 00 06 04 2b ce 0f 02 be 04 04 02 6f "
+            "6b");
+}
+
 TEST(AcseCodec, AareResults) {
   for (AcseResult result :
        {AcseResult::Accepted, AcseResult::RejectedPermanent,

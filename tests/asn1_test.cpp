@@ -80,6 +80,25 @@ TEST(Asn1Value, SequenceNesting) {
   EXPECT_EQ(decoded.value().child(1).child(0).as_string().value(), "x");
 }
 
+TEST(Asn1Value, ValuesMovesChildrenInOrder) {
+  Value inner = Value::sequence(
+      values(Value::ia5string("x"), Value::octet_string(Bytes(64, 0x3c))));
+  const std::uint8_t* payload = inner.child(1).content().data();
+  std::vector<Value> kids = values(Value::integer(5), std::move(inner));
+  ASSERT_EQ(kids.size(), 2u);
+  EXPECT_EQ(kids[0].as_int().value(), 5);
+  // Moved, not copied: the octets are the very buffer built above.
+  EXPECT_EQ(kids[1].child(1).content().data(), payload);
+  EXPECT_TRUE(values().empty());
+
+  // Same tree, same octets as the braced-list form.
+  EXPECT_EQ(encode(Value::sequence(std::move(kids))),
+            encode(Value::sequence(
+                {Value::integer(5),
+                 Value::sequence({Value::ia5string("x"),
+                                  Value::octet_string(Bytes(64, 0x3c))})})));
+}
+
 TEST(Asn1Value, ContextTags) {
   Value v = Value::sequence({
       Value::context(0, Value::integer(7)),

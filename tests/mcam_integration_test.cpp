@@ -117,6 +117,36 @@ INSTANTIATE_TEST_SUITE_P(BothStacks, StackParamTest,
                                       : "IsodeHandCoded";
                          });
 
+TEST(McamIntegration, MalformedNumbersAndTitleClashesRefused) {
+  Testbed bed(Testbed::Config{});
+  McamClient client = bed.client(0);
+  ASSERT_TRUE(client.associate("bob").ok());
+
+  // Numeric attributes must be whole numbers of their type.
+  for (const Attr& bad : {Attr{"width", "640x"}, Attr{"size", "-1"},
+                          Attr{"fps", "nan"}}) {
+    auto created = client.create_movie("bad-" + bad.name, {bad});
+    ASSERT_TRUE(created.ok()) << created.error().message;
+    EXPECT_EQ(created.value().result, ResultCode::BadAttribute) << bad.name;
+  }
+  EXPECT_EQ(bed.server().directory().size(), 0u);
+
+  const auto alpha = client.create_movie("alpha").value().movie_id;
+  const auto beta = client.create_movie("beta").value().movie_id;
+  auto clash = client.modify_attributes(beta, {{"title", "alpha"}});
+  ASSERT_TRUE(clash.ok());
+  EXPECT_EQ(clash.value().result, ResultCode::DuplicateMovie);
+  auto same = client.modify_attributes(alpha, {{"title", "alpha"}});
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(same.value().result, ResultCode::Success);
+  auto size = client.modify_attributes(alpha, {{"size", "-1"}});
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value().result, ResultCode::BadAttribute);
+
+  EXPECT_EQ(client.select_movie("alpha").value().movie_id, alpha);
+  EXPECT_EQ(client.select_movie("beta").value().movie_id, beta);
+}
+
 TEST(McamIntegration, PauseResumePositioning) {
   Testbed bed(Testbed::Config{});
   preload_movie(bed, "long-movie", 250);

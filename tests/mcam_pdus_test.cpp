@@ -23,6 +23,43 @@ void expect_roundtrip(const T& pdu) {
   EXPECT_EQ(op.value(), op_of(Pdu{pdu}));
 }
 
+/// The exact octets of `pdu`, as "aa bb ..." for readable failure output.
+std::string wire_hex(const Pdu& pdu) {
+  const Bytes wire = encode(pdu);
+  return common::hexdump(wire, wire.size());
+}
+
+// Golden octets, captured before the encoders built their value trees by
+// move: how a tree is assembled must never change what goes on the wire.
+TEST(McamPdus, GoldenWireBytes) {
+  EXPECT_EQ(wire_hex(MovieSearchResp{
+                ResultCode::Success,
+                {{7, {{"title", "casablanca"}, {"fps", "25.000"}}},
+                 {9, {{"title", "metropolis"}, {"width", "640"}}}}}),
+            "7f 20 5a 0a 01 00 30 55 30 29 02 01 07 30 24 30 "
+            "13 16 05 74 69 74 6c 65 16 0a 63 61 73 61 62 6c "
+            "61 6e 63 61 30 0d 16 03 66 70 73 16 06 32 35 2e "
+            "30 30 30 30 28 02 01 09 30 23 30 13 16 05 74 69 "
+            "74 6c 65 16 0a 6d 65 74 72 6f 70 6f 6c 69 73 30 "
+            "0c 16 05 77 69 64 74 68 16 03 36 34 30");
+  EXPECT_EQ(wire_hex(AttrQueryResp{ResultCode::Success,
+                                   {{"fps", "25.000"}, {"format", "mjpeg"}}}),
+            "6c 25 0a 01 00 30 20 30 0d 16 03 66 70 73 16 06 "
+            "32 35 2e 30 30 30 30 0f 16 06 66 6f 72 6d 61 74 "
+            "16 05 6d 6a 70 65 67");
+  EXPECT_EQ(wire_hex(EquipListResp{ResultCode::Success,
+                                   {{1, 0, "cam0", true, "alice"},
+                                    {2, 1, "mic0", false, ""}}}),
+            "7c 30 0a 01 00 30 2b 30 16 02 01 01 02 01 00 16 "
+            "04 63 61 6d 30 01 01 ff 16 05 61 6c 69 63 65 30 "
+            "11 02 01 02 02 01 01 16 04 6d 69 63 30 01 01 00 "
+            "16 00");
+  // Both OPTIONAL QoS fields present.
+  EXPECT_EQ(wire_hex(PlayReq{7, 100, "client1", 7000, 250, 40}),
+            "6f 1e 02 01 07 02 01 64 16 07 63 6c 69 65 6e 74 "
+            "31 02 02 1b 58 a0 04 02 02 00 fa a1 03 02 01 28");
+}
+
 TEST(McamPdus, AssociationRoundTrips) {
   expect_roundtrip(AssociateReq{"alice", 1});
   expect_roundtrip(AssociateResp{ResultCode::Success, "welcome"});

@@ -210,6 +210,21 @@ TEST(PresentationLayer, CprMeansRefusal) {
   EXPECT_EQ(rig.pres->state(), PresentationModule::kIdle);
 }
 
+std::string hex(const Bytes& b) { return common::hexdump(b, b.size()); }
+
+// Golden octets, captured before the builders assembled their value trees by
+// move: how a PPDU is built must never change what goes on the wire.
+TEST(PresentationCodec, GoldenWireBytes) {
+  EXPECT_EQ(hex(build_cp(1, common::to_bytes("hello"))),
+            "a1 1e 30 1c 30 11 30 0f 02 01 01 06 04 2b ce 0f "
+            "01 30 04 06 02 51 01 a0 07 04 05 68 65 6c 6c 6f");
+  EXPECT_EQ(hex(build_cpa(1, common::to_bytes("welcome"))),
+            "a2 1b 30 19 30 0c 30 0a 02 01 01 0a 01 00 06 02 "
+            "51 01 a0 09 04 07 77 65 6c 63 6f 6d 65");
+  EXPECT_EQ(hex(build_td(1, common::to_bytes("payload"))),
+            "a4 0e 30 0c 02 01 01 04 07 70 61 79 6c 6f 61 64");
+}
+
 TEST(PresentationLayer, DataWrappedInTd) {
   PresRig rig;
   auto sched = make_executor(rig.spec);

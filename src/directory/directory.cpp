@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <set>
 
 namespace mcam::directory {
 
@@ -189,6 +188,24 @@ std::vector<std::pair<std::string, std::string>> MovieEntry::attributes()
 }
 
 // ---------------------------------------------------------------------------
+// TitleSignature
+
+TitleSignature TitleSignature::of(std::string_view text) noexcept {
+  TitleSignature sig;
+  for (std::size_t i = 0; i + 3 <= text.size(); ++i) {
+    const auto byte = [&](std::size_t k) {
+      return static_cast<std::uint32_t>(static_cast<unsigned char>(text[k]));
+    };
+    const std::uint32_t trigram =
+        byte(i) << 16 | byte(i + 1) << 8 | byte(i + 2);
+    // Fibonacci hashing: the top 7 bits of the product pick one of 128.
+    const std::uint32_t bit = (trigram * 0x9E3779B1u) >> 25;
+    sig.bits[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  }
+  return sig;
+}
+
+// ---------------------------------------------------------------------------
 // Filter
 
 Filter Filter::present(std::string attr) {
@@ -263,6 +280,22 @@ bool Filter::matches(const MovieEntry& entry) const {
   return false;
 }
 
+TitleSignature Filter::required_title() const noexcept {
+  switch (op_) {
+    case Op::Equal:
+    case Op::Substring:
+      return attr_id_ == AttrId::Title ? TitleSignature::of(value_)
+                                       : TitleSignature{};
+    case Op::And: {
+      TitleSignature need;
+      for (const Filter& f : children_) need |= f.required_title();
+      return need;
+    }
+    default:
+      return {};
+  }
+}
+
 bool Filter::operator==(const Filter& other) const {
   return op_ == other.op_ && attr_ == other.attr_ && value_ == other.value_ &&
          children_ == other.children_;
@@ -301,8 +334,15 @@ Result<std::uint64_t> Dsa::add(MovieEntry entry) {
                        "title already present: " + entry.title);
   entry.id = next_id_++;
   const std::uint64_t id = entry.id;
+  titles_.push_back(TitleRow{id, TitleSignature::of(entry.title)});
   entries_.emplace(id, std::move(entry));
   return id;
+}
+
+std::vector<Dsa::TitleRow>::iterator Dsa::row(std::uint64_t id) {
+  return std::lower_bound(
+      titles_.begin(), titles_.end(), id,
+      [](const TitleRow& r, std::uint64_t key) { return r.id < key; });
 }
 
 Status Dsa::remove(std::uint64_t id) {
@@ -310,6 +350,7 @@ Status Dsa::remove(std::uint64_t id) {
   if (it == entries_.end())
     return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
   by_title_.erase(it->second.title);
+  titles_.erase(row(id));
   entries_.erase(it);
   return Status{};
 }
@@ -348,35 +389,64 @@ Status Dsa::modify(std::uint64_t id, const std::string& attr,
   node.key() = value;
   by_title_.insert(std::move(node));
   entry.title = value;
+  row(id)->sig = TitleSignature::of(value);
   return Status{};
 }
 
+template <typename Visit>
+void Dsa::scan(const Filter& filter, const TitleSignature& need,
+               Visit&& visit) const {
+  // Rows and entries share ids and order, so a run of candidate rows steps
+  // the map iterator; a skipped stretch costs one search.
+  auto it = entries_.begin();
+  for (const TitleRow& row : titles_) {
+    if (!row.sig.covers(need)) continue;
+    if (it == entries_.end() || it->first != row.id)
+      it = entries_.lower_bound(row.id);
+    if (it == entries_.end()) break;
+    if (filter.matches(it->second)) visit(it->second);
+    ++it;
+  }
+}
+
+void Dsa::for_each_match(const Filter& filter, int hop_limit,
+                         const Visitor& visit) const {
+  if (hop_limit < 0) return;
+  // Breadth-first over the DSA graph; reached[begin, end) is one hop level.
+  std::vector<const Dsa*> reached{this};
+  for (std::size_t begin = 0, hop = 0;
+       hop < static_cast<std::size_t>(hop_limit) && begin < reached.size();
+       ++hop) {
+    const std::size_t end = reached.size();
+    for (std::size_t i = begin; i < end; ++i)
+      for (const Dsa* peer : reached[i]->peers_)
+        if (std::find(reached.begin(), reached.end(), peer) == reached.end())
+          reached.push_back(peer);
+    begin = end;
+  }
+  const TitleSignature need = filter.required_title();
+  for (std::size_t k = 0; k < reached.size(); ++k) {
+    const Dsa& dsa = *reached[k];
+    dsa.scan(filter, need, [&](const MovieEntry& entry) {
+      for (std::size_t j = 0; j < k; ++j) {
+        if (reached[j]->domain_ != dsa.domain_) continue;
+        const MovieEntry* twin = reached[j]->find(entry.id);
+        if (twin != nullptr && filter.matches(*twin)) return;
+      }
+      visit(dsa, entry);
+    });
+  }
+}
+
 std::vector<MovieEntry> Dsa::search(const Filter& filter) const {
-  std::vector<MovieEntry> out;
-  for (const auto& [id, entry] : entries_)
-    if (filter.matches(entry)) out.push_back(entry);
-  return out;
+  return search_chained(filter, 0);
 }
 
 std::vector<MovieEntry> Dsa::search_chained(const Filter& filter,
                                             int hop_limit) const {
   std::vector<MovieEntry> out;
-  std::set<std::pair<std::string, std::uint64_t>> seen;
-  std::set<const Dsa*> visited;
-  // Breadth-first over the DSA graph.
-  std::vector<const Dsa*> frontier{this};
-  visited.insert(this);
-  for (int hop = 0; hop <= hop_limit && !frontier.empty(); ++hop) {
-    std::vector<const Dsa*> next;
-    for (const Dsa* dsa : frontier) {
-      for (const auto& [id, entry] : dsa->entries_)
-        if (filter.matches(entry) && seen.emplace(dsa->domain_, id).second)
-          out.push_back(entry);
-      for (Dsa* peer : dsa->peers_)
-        if (visited.insert(peer).second) next.push_back(peer);
-    }
-    frontier = std::move(next);
-  }
+  for_each_match(filter, hop_limit,
+                 [&](const Dsa&, const MovieEntry& e) { out.push_back(e); });
   return out;
 }
 

@@ -86,6 +86,27 @@ struct MovieEntry {
       const;
 };
 
+/// The set of a text's trigrams, hashed into 128 bits: one bit per run of
+/// three bytes, each byte read as unsigned char. A title can hold a needle
+/// only if the title's signature covers the needle's; the converse does not
+/// hold (hashes collide), so a signature only rules entries out.
+struct TitleSignature {
+  std::array<std::uint64_t, 2> bits{};
+
+  /// Texts shorter than three bytes have no trigrams: the empty signature.
+  [[nodiscard]] static TitleSignature of(std::string_view text) noexcept;
+  [[nodiscard]] bool covers(const TitleSignature& need) const noexcept {
+    return (bits[0] & need.bits[0]) == need.bits[0] &&
+           (bits[1] & need.bits[1]) == need.bits[1];
+  }
+  TitleSignature& operator|=(const TitleSignature& o) noexcept {
+    bits[0] |= o.bits[0];
+    bits[1] |= o.bits[1];
+    return *this;
+  }
+  bool operator==(const TitleSignature&) const = default;
+};
+
 /// X.500-style search filter. The attribute name is resolved once, when the
 /// filter is built, and `matches` reads values without allocating.
 class Filter {
@@ -100,6 +121,10 @@ class Filter {
 
   [[nodiscard]] bool matches(const MovieEntry& entry) const;
   [[nodiscard]] std::string to_string() const;
+  /// Trigrams every matching entry's title must hold: those of a title
+  /// Equal or Substring value, united over And. Or, Not, Present, All and
+  /// other attributes require none.
+  [[nodiscard]] TitleSignature required_title() const noexcept;
 
   /// Structural introspection (used by the MCAM wire codec, which carries
   /// filters inside MovieSearch PDUs).
@@ -134,10 +159,16 @@ enum DirectoryError : int {
 ///
 /// Cost model: title lookups (find_title, find_by_title, and the duplicate
 /// checks of add and modify) go through a hashed title -> id index, O(1).
-/// search and search_chained scan every entry with an allocation-free
-/// filter and copy only the hits.
+/// Searches walk a column of title signatures (24 bytes per entry, sorted
+/// by id) and run the filter only on entries whose signature covers
+/// `Filter::required_title()`; a filter that requires no trigrams runs on
+/// every entry. for_each_match hands matches over in place; search and
+/// search_chained copy them. remove erases from the column, O(n).
 class Dsa {
  public:
+  /// Default hop limit of a chained operation.
+  static constexpr int kChainHops = 3;
+
   explicit Dsa(std::string domain);
 
   [[nodiscard]] const std::string& domain() const noexcept { return domain_; }
@@ -156,16 +187,39 @@ class Dsa {
   common::Status modify(std::uint64_t id, const std::string& attr,
                         const std::string& value);
 
+  /// Call `visit(owner, entry)` for every entry matching `filter` in this
+  /// DSA and in the peers reached breadth-first within `hop_limit` hops
+  /// (none when negative), each DSA's entries in ascending id order.
+  /// Duplicate-free by (domain, id): an entry is skipped when a DSA of the
+  /// same domain reached earlier holds a matching entry under its id.
+  using Visitor = std::function<void(const Dsa& owner, const MovieEntry&)>;
+  void for_each_match(const Filter& filter, int hop_limit,
+                      const Visitor& visit) const;
+
+  /// Matches in this DSA only, in ascending id order.
   [[nodiscard]] std::vector<MovieEntry> search(const Filter& filter) const;
-  /// Chained search: local base plus peer DSAs, breadth-first, hop-limited,
-  /// duplicate-free (by (domain, id)).
-  [[nodiscard]] std::vector<MovieEntry> search_chained(const Filter& filter,
-                                                       int hop_limit = 3) const;
+  /// Matches here and in peers, as for_each_match reports them.
+  [[nodiscard]] std::vector<MovieEntry> search_chained(
+      const Filter& filter, int hop_limit = kChainHops) const;
 
   void add_peer(Dsa& peer) { peers_.push_back(&peer); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  // One row of the signature column.
+  struct TitleRow {
+    std::uint64_t id;
+    TitleSignature sig;
+  };
+
+  /// Call `visit(entry)` for each local entry that matches `filter`, running
+  /// the filter only on rows whose signature covers `need`.
+  template <typename Visit>
+  void scan(const Filter& filter, const TitleSignature& need,
+            Visit&& visit) const;
+  /// The column row of an entry that exists.
+  [[nodiscard]] std::vector<TitleRow>::iterator row(std::uint64_t id);
+
   struct TitleHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const noexcept {
@@ -179,6 +233,8 @@ class Dsa {
   // Ids, not pointers into entries_, so a copied Dsa stays consistent.
   std::unordered_map<std::string, std::uint64_t, TitleHash, std::equal_to<>>
       by_title_;
+  // Same ids as entries_, same order: add only appends larger ids.
+  std::vector<TitleRow> titles_;
   std::vector<Dsa*> peers_;
 };
 

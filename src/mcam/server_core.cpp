@@ -1,11 +1,13 @@
 #include "mcam/server_core.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace mcam::core {
 
 using common::Error;
 using common::Result;
+using directory::Dsa;
 using directory::MovieEntry;
 
 namespace {
@@ -143,21 +145,27 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           s.selected.erase(req.movie_id);
           return MovieDeleteResp{ResultCode::Success};
         } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
-          const MovieEntry* movie = dsa_.find_title(req.title);
-          std::vector<MovieEntry> chained;
-          if (movie == nullptr) {
-            // Consult peer DSAs (distributed directory).
-            chained = dsa_.search_chained(
-                directory::Filter::equal("title", req.title));
-            if (chained.empty())
-              return MovieSelectResp{ResultCode::NoSuchMovie, 0, {}};
-            movie = &chained.front();
+          if (const MovieEntry* movie = dsa_.find_title(req.title)) {
+            if (!may_access(*movie, s.user))
+              return MovieSelectResp{ResultCode::AccessDenied, 0, {}};
+            s.selected.insert(movie->id);
+            return MovieSelectResp{ResultCode::Success, movie->id,
+                                   all_attrs(*movie)};
           }
-          if (!may_access(*movie, s.user))
-            return MovieSelectResp{ResultCode::AccessDenied, 0, {}};
-          s.selected.insert(movie->id);
-          return MovieSelectResp{ResultCode::Success, movie->id,
-                                 all_attrs(*movie)};
+          // Consult peer DSAs (distributed directory). A peer's id names
+          // nothing here: report its attributes under id 0, unselected.
+          std::optional<MovieSelectResp> resp;
+          dsa_.for_each_match(
+              directory::Filter::equal("title", req.title), Dsa::kChainHops,
+              [&](const Dsa&, const MovieEntry& e) {
+                if (resp) return;
+                resp = may_access(e, s.user)
+                           ? MovieSelectResp{ResultCode::Success, 0,
+                                             all_attrs(e)}
+                           : MovieSelectResp{ResultCode::AccessDenied, 0, {}};
+              });
+          if (!resp) return MovieSelectResp{ResultCode::NoSuchMovie, 0, {}};
+          return std::move(*resp);
         }
 
         // ---- movie management ----
@@ -196,14 +204,14 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
         else if constexpr (std::is_same_v<T, MovieSearchReq>) {
           MovieSearchResp resp;
           resp.result = ResultCode::Success;
-          const auto matches = req.chained
-                                   ? dsa_.search_chained(req.filter)
-                                   : dsa_.search(req.filter);
-          resp.hits.reserve(matches.size());
-          for (const MovieEntry& e : matches) {
-            if (!may_access(e, s.user)) continue;  // invisible to other users
-            resp.hits.push_back(SearchHit{e.id, all_attrs(e)});
-          }
+          dsa_.for_each_match(
+              req.filter, req.chained ? Dsa::kChainHops : 0,
+              [&](const Dsa& owner, const MovieEntry& e) {
+                if (!may_access(e, s.user)) return;  // invisible to others
+                // Only the server's own entries have an id on the wire.
+                resp.hits.push_back(
+                    SearchHit{&owner == &dsa_ ? e.id : 0, all_attrs(e)});
+              });
           return resp;
         }
 

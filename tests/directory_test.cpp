@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "common/rng.hpp"
@@ -236,6 +237,120 @@ TEST(Dsa, SearchWithFilters) {
             0u);
 }
 
+std::vector<std::uint64_t> ids_of(const std::vector<MovieEntry>& entries) {
+  std::vector<std::uint64_t> ids;
+  for (const MovieEntry& e : entries) ids.push_back(e.id);
+  return ids;
+}
+
+TEST(TitleSignature, CoversEveryTrigramOfASubstring) {
+  EXPECT_EQ(TitleSignature::of(""), TitleSignature{});
+  EXPECT_EQ(TitleSignature::of("ab"), TitleSignature{});
+  EXPECT_NE(TitleSignature::of("abc"), TitleSignature{});
+  const std::string title = "news-1994-\xC3\xA9t\xC3\xA9";
+  const TitleSignature sig = TitleSignature::of(title);
+  for (std::size_t at = 0; at < title.size(); ++at)
+    for (std::size_t len = 0; at + len <= title.size(); ++len)
+      EXPECT_TRUE(sig.covers(TitleSignature::of(title.substr(at, len))))
+          << at << "+" << len;
+}
+
+TEST(TitleSignature, HighBytesSpreadLikeAscii) {
+  // 32 distinct trigrams sharing their last byte should set many of the
+  // 128 bits whether that byte is ASCII or not. Reading bytes as signed
+  // char sign-extends a trailing 0xE9 over the other two, and every one of
+  // these trigrams would then hash to the same bit.
+  for (const char last : {'z', '\xE9'}) {
+    TitleSignature all;
+    for (char a = 'a'; a < 'i'; ++a)
+      for (char b = 'a'; b < 'e'; ++b)
+        all |= TitleSignature::of(std::string{a, b, last});
+    const int spread =
+        std::popcount(all.bits[0]) + std::popcount(all.bits[1]);
+    EXPECT_GE(spread, 16) << "last byte " << int(last);
+  }
+}
+
+TEST(Filter, RequiredTitleTrigrams) {
+  const TitleSignature news = TitleSignature::of("news");
+  EXPECT_EQ(Filter::substring("title", "news").required_title(), news);
+  EXPECT_EQ(Filter::equal("title", "news").required_title(), news);
+  TitleSignature both = news;
+  both |= TitleSignature::of("-19");
+  EXPECT_EQ(Filter::and_({Filter::substring("title", "news"),
+                          Filter::equal("format", "mjpeg"),
+                          Filter::substring("title", "-19")})
+                .required_title(),
+            both);
+  // Nothing else narrows the title.
+  for (const Filter& f :
+       {Filter::or_({Filter::substring("title", "news"),
+                     Filter::substring("title", "news")}),
+        Filter::not_(Filter::substring("title", "news")),
+        Filter::present("title"), Filter::all(),
+        Filter::substring("rights", "public"),
+        Filter::substring("title", "ne"), Filter::and_({})})
+    EXPECT_EQ(f.required_title(), TitleSignature{}) << f.to_string();
+}
+
+TEST(Dsa, EmptyNeedleMatchesEveryEntry) {
+  Dsa dsa("ksr1");
+  (void)dsa.add(sample("a"));
+  (void)dsa.add(sample("news-06"));
+  (void)dsa.add(sample("lecture-db"));
+  EXPECT_EQ(dsa.search(Filter::substring("title", "")).size(), 3u);
+}
+
+TEST(Dsa, RenameMovesTitleBetweenSearches) {
+  Dsa dsa("ksr1");
+  (void)dsa.add(sample("lecture-db"));
+  const std::uint64_t id = dsa.add(sample("news-1994")).value();
+  const Filter news = Filter::substring("title", "news");
+  const Filter cartoon = Filter::substring("title", "cartoon");
+  EXPECT_EQ(ids_of(dsa.search(news)), std::vector<std::uint64_t>{id});
+  EXPECT_TRUE(dsa.search(cartoon).empty());
+
+  ASSERT_TRUE(dsa.modify(id, "title", "cartoon-1994").ok());
+  EXPECT_TRUE(dsa.search(news).empty());
+  EXPECT_EQ(ids_of(dsa.search(cartoon)), std::vector<std::uint64_t>{id});
+}
+
+TEST(Dsa, RemovedTitleIsFoundAgainOnceReAdded) {
+  Dsa dsa("ksr1");
+  const std::uint64_t first = dsa.add(sample("news-06")).value();
+  const std::uint64_t second = dsa.add(sample("news-07")).value();
+  ASSERT_TRUE(dsa.remove(first).ok());
+  const Filter f = Filter::substring("title", "news-06");
+  EXPECT_TRUE(dsa.search(f).empty());
+  EXPECT_EQ(ids_of(dsa.search(Filter::all())),
+            std::vector<std::uint64_t>{second});
+
+  const std::uint64_t again = dsa.add(sample("news-06")).value();
+  EXPECT_EQ(ids_of(dsa.search(f)), std::vector<std::uint64_t>{again});
+  EXPECT_EQ(ids_of(dsa.search(Filter::all())),
+            (std::vector<std::uint64_t>{second, again}));
+  EXPECT_EQ(dsa.find_by_title("news-06").value().id, again);
+}
+
+TEST(Dsa, CopySearchesItsOwnEntries) {
+  Dsa original("ksr1");
+  const std::uint64_t a = original.add(sample("news-06")).value();
+  const std::uint64_t b = original.add(sample("news-07")).value();
+  const std::uint64_t c = original.add(sample("lecture-db")).value();
+  const Dsa copy = original;
+
+  ASSERT_TRUE(original.modify(a, "title", "cartoon-06").ok());
+  ASSERT_TRUE(original.remove(b).ok());
+  (void)original.add(sample("news-08"));
+  ASSERT_TRUE(original.modify(c, "title", "news-db").ok());
+
+  const Filter news = Filter::substring("title", "news");
+  EXPECT_EQ(ids_of(copy.search(news)), (std::vector<std::uint64_t>{a, b}));
+  EXPECT_EQ(ids_of(copy.search(Filter::all())),
+            (std::vector<std::uint64_t>{a, b, c}));
+  EXPECT_TRUE(copy.search(Filter::substring("title", "cartoon")).empty());
+}
+
 TEST(Dsa, ChainedSearchAcrossPeers) {
   Dsa a("hostA"), b("hostB"), c("hostC");
   a.add_peer(b);
@@ -390,16 +505,40 @@ void expect_same_entries(const std::vector<MovieEntry>& got,
   }
 }
 
-const char* const kTitleWords[] = {"news", "lecture", "cartoon", "archive"};
+// "\xC3\xA9t\xC3\xA9" is "été" in UTF-8: titles with bytes >= 0x80.
+const char* const kTitleWords[] = {"news", "lecture", "cartoon", "archive",
+                                   "\xC3\xA9t\xC3\xA9"};
+// Titles shorter than a trigram.
+const char* const kShortTitles[] = {"a", "s-", "\xE9", "1\xC3"};
 
 std::string random_title(common::Rng& rng) {
   // A small title space, so duplicate adds and renames happen often.
-  return std::string(kTitleWords[rng.below(4)]) + "-" +
+  if (rng.chance(0.1)) return kShortTitles[rng.below(4)];
+  return std::string(kTitleWords[rng.below(5)]) + "-" +
          std::to_string(rng.below(12));
 }
 
+/// A title substring needle: slices of 0 to 4 bytes (across the word and
+/// number boundary, and through multi-byte characters), whole titles, and
+/// needles longer than any title.
+std::string random_needle(common::Rng& rng) {
+  const std::string title = random_title(rng);
+  switch (rng.below(4)) {
+    case 0:
+    case 1: {
+      const std::size_t len =
+          rng.below(std::min<std::size_t>(title.size(), 4) + 1);
+      return title.substr(rng.below(title.size() - len + 1), len);
+    }
+    case 2:
+      return title;
+    default:
+      return title + "-" + random_title(rng);
+  }
+}
+
 Filter random_leaf(common::Rng& rng) {
-  switch (rng.below(12)) {
+  switch (rng.below(14)) {
     case 0:
       return Filter::substring("title", kTitleWords[rng.below(4)]);
     case 1:
@@ -428,6 +567,15 @@ Filter random_leaf(common::Rng& rng) {
     }
     case 10:
       return Filter::equal("rights", rng.chance(0.5) ? "public" : "alice");
+    case 11:
+      return Filter::substring("title", random_needle(rng));
+    case 12: {
+      // A title needle narrowed by a leaf on another attribute.
+      Filter needle = Filter::substring("title", random_needle(rng));
+      Filter other = random_leaf(rng);
+      if (rng.chance(0.5)) std::swap(needle, other);
+      return Filter::and_({std::move(needle), std::move(other)});
+    }
     default:
       return Filter::all();
   }

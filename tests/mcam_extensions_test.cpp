@@ -188,6 +188,56 @@ TEST(McamSearch, ChainedSearchReachesPeerDsa) {
   EXPECT_EQ(local_only.value().hits.size(), 0u);
 }
 
+// A peer DSA numbers its entries on its own, so its ids collide with the
+// server's. A movie id on the wire must always name a server entry: peer
+// entries travel under id 0 and cannot be selected.
+TEST(McamSearch, PeerEntriesNeverAliasLocalIds) {
+  Testbed bed(Testbed::Config{});
+  directory::Dsa archive("archive");
+  bed.server().directory().add_peer(archive);
+  const auto local = preload(bed, "local-news", directory::Format::Mjpeg,
+                             "public");
+  directory::MovieEntry remote;
+  remote.title = "archived-lecture";
+  remote.duration_frames = 60;
+  remote.location_host = "archive";
+  const auto remote_id = archive.add(remote);
+  ASSERT_TRUE(remote_id.ok());
+  ASSERT_EQ(remote_id.value(), local.id);  // the ids do collide
+
+  McamClient client = bed.client(0);
+  ASSERT_TRUE(client.associate("alice").ok());
+
+  auto select = client.select_movie("archived-lecture");
+  ASSERT_TRUE(select.ok());
+  EXPECT_EQ(select.value().result, ResultCode::Success);
+  EXPECT_EQ(select.value().movie_id, 0u);
+  ASSERT_FALSE(select.value().attrs.empty());
+  EXPECT_EQ(select.value().attrs[0].value, "archived-lecture");
+
+  // The peer select entered nothing into the selection: local-news (same
+  // id) was never selected, so it cannot be played.
+  auto play = client.play(local.id, bed.client_host(0), 7000);
+  ASSERT_TRUE(play.ok());
+  EXPECT_EQ(play.value().result, ResultCode::NotSelected);
+  auto del = client.delete_movie(select.value().movie_id);
+  ASSERT_TRUE(del.ok());
+  EXPECT_EQ(del.value().result, ResultCode::NoSuchMovie);
+  EXPECT_NE(bed.server().directory().find(local.id), nullptr);
+
+  auto all = client.search_movies(Filter::all());
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all.value().hits.size(), 2u);
+  EXPECT_EQ(all.value().hits[0].movie_id, local.id);
+  EXPECT_EQ(all.value().hits[0].attrs[0].value, "local-news");
+  EXPECT_EQ(all.value().hits[1].movie_id, 0u);
+  EXPECT_EQ(all.value().hits[1].attrs[0].value, "archived-lecture");
+
+  auto query = client.query_attributes(local.id, {"title"});
+  ASSERT_TRUE(query.ok());
+  EXPECT_EQ(query.value().attrs[0].value, "local-news");
+}
+
 TEST(McamQos, UnreasonableBoundsRejected) {
   Testbed bed(Testbed::Config{});
   const auto movie = preload(bed, "m", directory::Format::Mjpeg, "public");

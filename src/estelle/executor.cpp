@@ -1,13 +1,11 @@
 #include "estelle/executor.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <utility>
-
-#include <algorithm>
-
 #include <thread>
+#include <utility>
 
 #include "estelle/free_executor.hpp"
 #include "estelle/module.hpp"
@@ -57,18 +55,12 @@ const char* mapping_name(Mapping m) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Built-in names, resolvable without touching the registry (used while the
-/// factory registers the built-ins in its own constructor).
-const char* builtin_kind_name(ExecutorKind k) noexcept {
+const char* executor_kind_name(ExecutorKind k) noexcept {
   switch (k) {
     case ExecutorKind::Sequential:
       return "sequential";
     case ExecutorKind::ParallelSim:
       return "parallel-sim";
-    case ExecutorKind::Threaded:
-      return "threaded";
     case ExecutorKind::Sharded:
       return "sharded";
     case ExecutorKind::FreeRunning:
@@ -76,19 +68,21 @@ const char* builtin_kind_name(ExecutorKind k) noexcept {
     case ExecutorKind::Distributed:
       return "distributed";
   }
-  return nullptr;
-}
-
-}  // namespace
-
-const char* executor_kind_name(ExecutorKind k) noexcept {
-  if (const char* name = builtin_kind_name(k)) return name;
-  return ExecutorFactory::instance().name_of(k);  // out-of-tree backends
+  return "?";
 }
 
 bool executor_kind_from_name(const std::string& name,
                              ExecutorKind* out) noexcept {
-  return ExecutorFactory::instance().kind_by_name(name, out);
+  for (ExecutorKind k :
+       {ExecutorKind::Sequential, ExecutorKind::ParallelSim,
+        ExecutorKind::Sharded, ExecutorKind::FreeRunning,
+        ExecutorKind::Distributed}) {
+    if (name == executor_kind_name(k)) {
+      if (out != nullptr) *out = k;
+      return true;
+    }
+  }
+  return false;
 }
 
 int resolve_worker_count(int requested) noexcept {
@@ -369,98 +363,22 @@ bool ExecutorBase::advance_to_wakeup() {
 // ---------------------------------------------------------------------------
 // Factory
 
-ExecutorFactory& ExecutorFactory::instance() {
-  static ExecutorFactory factory;
-  return factory;
-}
-
-ExecutorFactory::ExecutorFactory() {
-  register_backend(
-      ExecutorKind::Sequential, builtin_kind_name(ExecutorKind::Sequential),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<SequentialScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::ParallelSim, builtin_kind_name(ExecutorKind::ParallelSim),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ParallelSimScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Threaded, builtin_kind_name(ExecutorKind::Threaded),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ThreadedScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Sharded, builtin_kind_name(ExecutorKind::Sharded),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ShardedExecutor>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::FreeRunning, builtin_kind_name(ExecutorKind::FreeRunning),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<FreeRunningExecutor>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Distributed, builtin_kind_name(ExecutorKind::Distributed),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<DistributedRunner>(spec, cfg);
-      });
-}
-
-void ExecutorFactory::register_backend(ExecutorKind kind, std::string name,
-                                       Creator create) {
-  const std::string* interned = &names_.emplace_back(std::move(name));
-  for (Entry& e : entries_) {
-    if (e.kind == kind) {  // re-registration replaces (last wins)
-      e.name = interned;
-      e.create = std::move(create);
-      return;
-    }
-  }
-  entries_.push_back({kind, interned, std::move(create)});
-}
-
-std::unique_ptr<Executor> ExecutorFactory::create(
-    Specification& spec, const ExecutorConfig& cfg) const {
-  for (const Entry& e : entries_)
-    if (e.kind == cfg.kind) return e.create(spec, cfg);
-  throw std::invalid_argument("unregistered ExecutorKind " +
-                              std::to_string(static_cast<int>(cfg.kind)));
-}
-
-bool ExecutorFactory::known(ExecutorKind kind) const noexcept {
-  for (const Entry& e : entries_)
-    if (e.kind == kind) return true;
-  return false;
-}
-
-std::vector<ExecutorKind> ExecutorFactory::kinds() const {
-  std::vector<ExecutorKind> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.kind);
-  return out;
-}
-
-const char* ExecutorFactory::name_of(ExecutorKind kind) const noexcept {
-  for (const Entry& e : entries_)
-    if (e.kind == kind) return e.name->c_str();
-  return "?";
-}
-
-bool ExecutorFactory::kind_by_name(const std::string& name,
-                                   ExecutorKind* out) const noexcept {
-  for (const Entry& e : entries_) {
-    if (*e.name == name) {
-      if (out != nullptr) *out = e.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::unique_ptr<Executor> make_executor(Specification& spec,
                                         const ExecutorConfig& cfg) {
-  return ExecutorFactory::instance().create(spec, cfg);
+  switch (cfg.kind) {
+    case ExecutorKind::Sequential:
+      return std::make_unique<SequentialScheduler>(spec, cfg);
+    case ExecutorKind::ParallelSim:
+      return std::make_unique<ParallelSimScheduler>(spec, cfg);
+    case ExecutorKind::Sharded:
+      return std::make_unique<ShardedExecutor>(spec, cfg);
+    case ExecutorKind::FreeRunning:
+      return std::make_unique<FreeRunningExecutor>(spec, cfg);
+    case ExecutorKind::Distributed:
+      return std::make_unique<DistributedRunner>(spec, cfg);
+  }
+  throw std::invalid_argument("unknown ExecutorKind " +
+                              std::to_string(static_cast<int>(cfg.kind)));
 }
 
 }  // namespace mcam::estelle

@@ -6,9 +6,9 @@
 // that claim as an interface: every runtime is an `Executor` constructed
 // through `make_executor(spec, config)` and driven through
 // `run(RunOptions) -> RunReport`. Call sites select a backend by value
-// (`ExecutorKind`), never by concrete type; new backends (sharded, work
-// stealing, distributed) register with `ExecutorFactory` and every existing
-// consumer can use them unchanged.
+// (`ExecutorKind`), never by concrete type, so every consumer can switch
+// between the sequential, simulated, sharded, free-running and distributed
+// runtimes unchanged.
 //
 // Vocabulary:
 //   StopCondition — when a run ends besides quiescence: a predicate over the
@@ -20,16 +20,15 @@
 //                   run, and the executor-lifetime SchedulerStats.
 //
 // Observer contract: all RunObserver callbacks are invoked on the thread that
-// called run(), even under the real-thread backends — Threaded announces a
-// round's firing set before its workers execute it; Sharded replays each
+// called run(), even under the real-thread backends — Sharded replays each
 // epoch's revalidated firings after the epoch barrier
-// (announce-after-revalidation, see shard_executor.hpp). Observers therefore
-// need no internal locking.
+// (announce-after-revalidation, see shard_executor.hpp), and FreeRunning and
+// Distributed replay their shards' firing logs the same way. Observers
+// therefore need no internal locking.
 #pragma once
 
 #include <any>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -102,12 +101,10 @@ struct SchedulerStats {
 // ---------------------------------------------------------------------------
 // Run vocabulary
 
-/// The available runtimes. Values are stable; future backends extend this
-/// enum and register with ExecutorFactory.
+/// The available runtimes; make_executor switches over them.
 enum class ExecutorKind {
   Sequential,   // single processor, virtual time — the speedup baseline
   ParallelSim,  // simulated multiprocessor (the KSR1 experiments, §5)
-  Threaded,     // real std::thread execution, deterministic commit order
   Sharded,      // work-stealing real threads, one shard per system module
   FreeRunning,  // barrier-free continuation shards firing from ready sets
   Distributed,  // one shard group per process over a MailboxTransport
@@ -120,10 +117,10 @@ enum class ExecutorKind {
 /// a blind sweep over it would not honor the every-spec contract the
 /// conformance suites assert over this list.
 inline constexpr ExecutorKind kAllExecutorKinds[] = {
-    ExecutorKind::Sequential, ExecutorKind::ParallelSim,
-    ExecutorKind::Threaded, ExecutorKind::Sharded, ExecutorKind::FreeRunning};
+    ExecutorKind::Sequential, ExecutorKind::ParallelSim, ExecutorKind::Sharded,
+    ExecutorKind::FreeRunning};
 
-/// Name of a kind — built-in or registered with ExecutorFactory.
+/// Name of a kind ("?" for a value outside the enum).
 [[nodiscard]] const char* executor_kind_name(ExecutorKind k) noexcept;
 /// Inverse of executor_kind_name (exact match); false if unknown.
 [[nodiscard]] bool executor_kind_from_name(const std::string& name,
@@ -231,7 +228,7 @@ struct RunOptions {
   /// run() call.
   std::vector<RunObserver*> observers;
   /// Worker-thread count for this run under the real-thread backends
-  /// (Threaded, Sharded). 0 ⇒ keep the executor's configured count
+  /// (Sharded, FreeRunning). 0 ⇒ keep the executor's configured count
   /// (ExecutorConfig::threads, itself defaulting to hardware_concurrency()).
   /// The backends keep one persistent WorkerPool across run() calls and
   /// resize it only when this asks for a different width; backends without
@@ -268,8 +265,7 @@ struct FreeRunningStats {
   /// Max occupancy any per-shard firing log (SPSC ring) ever reached.
   std::uint64_t log_high_water = 0;
   /// Rounds served by the epoch-based sharded path instead (specification
-  /// not proven conflict-free, legacy full_scan mode, or a pool narrower
-  /// than the shard count).
+  /// not proven conflict-free, or a pool narrower than the shard count).
   std::uint64_t fallback_rounds = 0;
 };
 
@@ -415,9 +411,10 @@ class Executor {
 
 /// Shared skeleton for executors: owns the virtual clock, the cumulative
 /// stats, the run loop (stop-condition checks, observer lifecycle, the
-/// config round backstop) and the firing-set/wakeup helpers all current
-/// backends share. A new backend implements step() — one round, false when
-/// quiescent — and optionally finalize_stats().
+/// config round backstop) and the tree-scan firing-set/wakeup helpers
+/// (ParallelSim, Sequential's full_scan baseline). A new backend implements
+/// step() — one round, false when quiescent — and optionally
+/// finalize_stats().
 class ExecutorBase : public Executor {
  public:
   RunReport run(const RunOptions& opts) override;
@@ -535,67 +532,33 @@ struct ExecutorConfig {
   Mapping mapping = Mapping::ThreadPerModule;
   sim::CostModel costs{};
 
-  // Real-thread backends (Threaded, Sharded): worker count of the
+  // Real-thread backends (Sharded, FreeRunning): worker count of the
   // persistent pool. 0 ⇒ hardware_concurrency() (see resolve_worker_count).
-  // The sharded backend caps its pool at the shard count (stealing whole
+  // The sharded backends cap their pool at the shard count (stealing whole
   // shards, extra workers could never be busy). RunOptions::worker_count
   // overrides this per run.
   int threads = 0;
 
-  /// Restore the legacy full-tree candidate scan (and tree-walk wakeup) in
-  /// the Sequential/Threaded/Sharded backends instead of event-driven
-  /// dirty-set scheduling (ready_set.hpp). The O(modules) baseline every
-  /// hot-path speedup is measured against; also a semantic escape hatch.
+  /// Sequential only: restore the legacy full-tree candidate scan (and
+  /// tree-walk wakeup) instead of event-driven dirty-set scheduling
+  /// (ready_set.hpp). The O(modules) baseline every hot-path speedup is
+  /// measured against (bench_hot_path). Every other backend ignores it.
   bool full_scan = false;
   /// Debug cross-check: after every dirty-set candidate collection, run the
   /// reference full scan too and throw std::logic_error on any divergence.
   /// The differential suites run with this on; it defeats the speedup, so
-  /// keep it off in production. Ignored when full_scan is set.
+  /// keep it off in production. Sequential ignores it when full_scan is
+  /// set.
   bool verify_ready_set = false;
 
-  /// Escape hatch for backends registered out of tree: their creator reads
-  /// whatever typed options it expects from here, so new runtimes get
-  /// configuration without widening this struct.
+  /// Typed options of one backend, so it gets configuration without
+  /// widening this struct: Distributed reads its transport::DistOptions
+  /// from here.
   std::any backend_options;
 };
 
-/// Registry mapping ExecutorKind to a constructor. The three paper runtimes
-/// are pre-registered; out-of-tree backends add themselves with
-/// register_backend() and immediately work at every make_executor call site.
-class ExecutorFactory {
- public:
-  using Creator = std::function<std::unique_ptr<Executor>(
-      Specification&, const ExecutorConfig&)>;
-
-  static ExecutorFactory& instance();
-
-  void register_backend(ExecutorKind kind, std::string name, Creator create);
-  [[nodiscard]] std::unique_ptr<Executor> create(
-      Specification& spec, const ExecutorConfig& cfg) const;
-  [[nodiscard]] bool known(ExecutorKind kind) const noexcept;
-  [[nodiscard]] std::vector<ExecutorKind> kinds() const;
-  /// Registered name of `kind` ("?" if unregistered); the inverse of
-  /// kind_by_name. executor_kind_name/executor_kind_from_name route through
-  /// these, so registered out-of-tree backends round-trip names too.
-  [[nodiscard]] const char* name_of(ExecutorKind kind) const noexcept;
-  [[nodiscard]] bool kind_by_name(const std::string& name,
-                                  ExecutorKind* out) const noexcept;
-
- private:
-  ExecutorFactory();
-
-  struct Entry {
-    ExecutorKind kind;
-    const std::string* name;  // interned in names_; stable for process life
-    Creator create;
-  };
-  /// Grow-only intern pool: pointers returned by name_of() stay valid
-  /// across later registrations (including re-registration of a kind).
-  std::deque<std::string> names_;
-  std::vector<Entry> entries_;
-};
-
-/// Build a runtime for `spec`. The one constructor every call site uses:
+/// Build a runtime for `spec`; throws std::invalid_argument for a kind value
+/// outside the enum. The one constructor every call site uses:
 ///   auto ex = make_executor(spec);                                // sequential
 ///   auto ex = make_executor(spec, {.kind = ExecutorKind::ParallelSim,
 ///                                  .processors = 8});

@@ -385,8 +385,8 @@ class Module {
 
   // ---- event-driven scheduling state (see ready_set.hpp) -----------------
   // Owned logically by the one ReadyScope currently driving this module
-  // (whole-spec scope under Sequential/Threaded, the module's shard scope
-  // under Sharded); scope handoffs reset everything via a full reseed.
+  // (whole-spec scope under Sequential, the module's shard scope under the
+  // sharded backends); scope handoffs reset everything via a full reseed.
   std::atomic<bool> ledger_marked_{false};  // queued in the spec ReadyLedger
   bool scope_ready_ = false;                // member of a scope's ready list
   const Transition* cached_fireable_ = nullptr;  // last evaluation's result

@@ -18,9 +18,9 @@
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
 //     (state_entered_at + delay), and the reusable candidate buffer. One
-//     scope spans the whole specification under Sequential/Threaded; the
-//     sharded backend keeps one per shard (ready sets and heaps live in
-//     ShardState, so they survive shard stealing).
+//     scope spans the whole specification under Sequential; the sharded
+//     backends keep one per shard (ready sets and heaps live in ShardState,
+//     so they survive shard stealing).
 //   * collect(now) — pops matured deadlines, re-evaluates exactly the ready
 //     modules, then rebuilds the round's candidates from F alone: sort by
 //     document-order DFS index, drop candidates with a fireable ancestor
@@ -43,7 +43,7 @@
 // ExecutorConfig::verify_ready_set cross-checks the equality against a
 // reference full scan every round (differential tests run with it on, and
 // it reports a missing mark as a divergence), and ExecutorConfig::full_scan
-// restores the legacy path entirely (the bench baseline).
+// restores the legacy path entirely under Sequential (the bench baseline).
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,9 @@ namespace mcam::estelle {
 
 /// Persistent per-domain scheduling state; see the header comment. Not
 /// thread-safe: one thread drives a scope at a time (the coordinating thread
-/// under Sequential/Threaded; the worker owning the shard merely *reads* the
-/// candidate buffer).
+/// under Sequential and in a Sharded epoch's collect phase, after which the
+/// worker owning the shard merely *reads* the candidate buffer; the shard's
+/// own continuation under FreeRunning).
 class ReadyScope {
  public:
   /// Enqueue `m` for re-evaluation at the next collect (idempotent).
@@ -139,12 +140,12 @@ class ReadyScope {
   bool round_allocated_ = false;
 };
 
-/// Whole-specification ready-set driver shared by the Sequential and
-/// Threaded backends: one scope spanning every system module, plus the
-/// reseed policy — the scope is rebuilt from a full tree walk whenever the
-/// topology version moved (modules or channels added/removed: new
-/// transitions must not be skipped, destroyed modules must not be touched)
-/// or another consumer drained the ledger since we last did.
+/// Whole-specification ready-set driver of the Sequential backend: one scope
+/// spanning every system module, plus the reseed policy — the scope is
+/// rebuilt from a full tree walk whenever the topology version moved
+/// (modules or channels added/removed: new transitions must not be skipped,
+/// destroyed modules must not be touched) or another consumer drained the
+/// ledger since we last did.
 class SpecReadySet {
  public:
   explicit SpecReadySet(Specification& spec) : spec_(spec) {}

@@ -240,152 +240,4 @@ void ParallelSimScheduler::finalize_stats() {
   stats_.msg_time = s.msg_time;
 }
 
-// ---------------------------------------------------------------------------
-// ThreadedScheduler
-
-ThreadedScheduler::ThreadedScheduler(Specification& spec,
-                                     const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps),
-      threads_(cfg.threads),
-      ready_(spec),
-      full_scan_(cfg.full_scan),
-      verify_(cfg.verify_ready_set) {}
-
-int ThreadedScheduler::unit_count() const noexcept {
-  return pool_ ? pool_->worker_count() : resolve_worker_count(threads_);
-}
-
-WorkerPool& ThreadedScheduler::ensure_pool() {
-  const int want = effective_worker_width(threads_);
-  if (!pool_ || pool_->worker_count() != want)
-    pool_ = std::make_unique<WorkerPool>(want);
-  return *pool_;
-}
-
-bool ThreadedScheduler::step() {
-  if (!analysis_)
-    analysis_ = std::make_unique<ConflictAnalysis>(spec_);
-  else
-    analysis_->refresh();
-
-  if (full_scan_) {
-    std::vector<FiringCandidate> candidates = collect_candidates();
-    if (candidates.empty()) return advance_to_wakeup();
-    run_round(candidates);
-  } else {
-    const std::vector<FiringCandidate>& candidates = ready_.collect(now_);
-    if (verify_)
-      verify_against_full_scan(spec_.system_modules(), now_, candidates);
-    stats_.guards_examined += ready_.round_guards();
-    stats_.candidates_considered += candidates.size();
-    const bool scope_grew = ready_.round_allocated();
-    if (candidates.empty()) {
-      if (scope_grew) ++stats_.rounds_with_allocation;
-      const SimTime wake = ready_.next_wakeup();
-      if (wake == kNeverTime) return false;
-      advance_clock_toward(wake);
-      return true;
-    }
-    const std::size_t scratch_before = round_footprint();
-    run_round(candidates);
-    if (scope_grew || round_footprint() != scratch_before)
-      ++stats_.rounds_with_allocation;
-  }
-
-  ++stats_.rounds;
-  now_ += SimTime::from_us(1);  // nominal round tick so delay clauses advance
-  return true;
-}
-
-std::size_t ThreadedScheduler::round_footprint() const noexcept {
-  std::size_t f = conflicting_.capacity() + parallel_.capacity() +
-                  captures_.capacity();
-  for (const OutputCapture& c : captures_) f += c.capacity();
-  return f;
-}
-
-void ThreadedScheduler::run_round(
-    const std::vector<FiringCandidate>& candidates) {
-  const std::size_t n = candidates.size();
-  const SimTime fire_time = now_;
-
-  // Split the round: a candidate conflicts when its module shares a channel
-  // (or loss Rng) with another member of the round. O(n²) pair checks over
-  // precomputed per-module signatures; rounds are small.
-  conflicting_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (analysis_->modules_conflict(*candidates[i].module,
-                                      *candidates[j].module)) {
-        conflicting_[i] = 1;
-        conflicting_[j] = 1;
-      }
-    }
-  }
-
-  // Single pass in candidate order, on this thread: conflicting candidates
-  // revalidate and fire immediately (the sequential discipline — an earlier
-  // conflicting firing may have disabled them, and their deliveries must be
-  // visible to the next revalidation); independent candidates are announced
-  // in place and deferred to the worker pool. Announcement order therefore
-  // equals the sequential scheduler's firing order exactly. Independent and
-  // conflicting candidates touch disjoint channels by construction, so the
-  // phase separation cannot reorder anything observable.
-  RunObserver* obs = observer();
-  parallel_.clear();
-  std::uint64_t fired = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!conflicting_[i]) {
-      if (obs != nullptr)
-        obs->on_fire(*candidates[i].module, *candidates[i].transition,
-                     fire_time);
-      parallel_.push_back(i);
-      continue;
-    }
-    if (!is_fireable(*candidates[i].transition, *candidates[i].module,
-                     fire_time))
-      continue;
-    fire(candidates[i], fire_time, obs);
-    ++fired;
-  }
-
-  // Execute the independent candidates on the persistent pool (no thread
-  // construction here — workers are parked between rounds); outputs captured
-  // per candidate and committed after the epoch barrier in candidate order
-  // (deterministic). At width 1 (or a single candidate) the round runs
-  // inline instead: with one executor there is nothing to race with, and
-  // independent candidates touch disjoint channels, so immediate delivery
-  // is indistinguishable from capture-and-commit — and the park/unpark
-  // round-trip matters on small hosts where the default width resolves
-  // to 1. The capture pool and index buffer persist across rounds (high-
-  // water sized), and the submitted lambdas capture 16 bytes so they fit
-  // std::function's inline storage: a steady-state round allocates nothing.
-  const std::size_t p = parallel_.size();
-  if (p > 0) {
-    if (p == 1 || effective_worker_width(threads_) < 2) {
-      for (std::size_t k : parallel_) fire(candidates[k], fire_time);
-    } else {
-      if (captures_.size() < p) captures_.resize(p);
-      round_ctx_ = {candidates.data(), parallel_.data(), captures_.data(),
-                    fire_time};
-      WorkerPool& pool = ensure_pool();
-      const int nworkers = pool.worker_count();
-      for (std::size_t k = 0; k < p; ++k) {
-        pool.submit(static_cast<int>(k % static_cast<std::size_t>(nworkers)),
-                    [this, k](int) {
-                      const RoundCtx& ctx = round_ctx_;
-                      ctx.captures[k].begin();
-                      fire(ctx.candidates[ctx.parallel[k]], ctx.fire_time);
-                      ctx.captures[k].end();
-                    });
-      }
-      pool.run_epoch();
-      for (std::size_t k = 0; k < p; ++k) captures_[k].commit();
-    }
-    fired += p;
-  }
-
-  stats_.fired += fired;
-}
-
 }  // namespace mcam::estelle

@@ -370,6 +370,12 @@ void DistributedRunner::on_frame(int from, Frame& f) {
     case FrameType::Bye:
       p->departed = true;
       return;
+    case FrameType::HelloResume:
+    case FrameType::SessionAck:
+      // Session frames: StreamSocketTransport consumes them itself to
+      // resume a connection and prune its replay ring; they carry nothing
+      // for the runner.
+      return;
   }
 }
 

@@ -7,9 +7,9 @@
 //     shared across shards; the Fig. 2 testbed configuration is
 //     conflict-free;
 //   * the two-phase transfer mailbox itself;
-//   * ThreadedScheduler conflict-set revalidation: a deliberately
-//     ill-formed spec no longer produces traces divergent from the
-//     sequential scheduler, and channel-sharing modules with shared opaque
+//   * in-shard revalidation under the real-thread backends (Sharded,
+//     FreeRunning): a deliberately ill-formed spec produces the sequential
+//     scheduler's trace, and channel-sharing modules with shared opaque
 //     state are serialized (the property the CI ThreadSanitizer job pins).
 #include <gtest/gtest.h>
 
@@ -70,7 +70,6 @@ TEST(ConflictAnalysisTest, RefreshTracksDynamicMembership) {
   // ...and refresh() folds the new module into the shard table.
   analysis.refresh();
   EXPECT_EQ(analysis.shards()[0].modules.size(), 2u);
-  EXPECT_FALSE(analysis.modules_conflict(sys, child));  // no shared channel
 }
 
 TEST(ConflictAnalysisTest, PlainCrossShardChannelIsMediatedNotConflicting) {
@@ -91,9 +90,6 @@ TEST(ConflictAnalysisTest, PlainCrossShardChannelIsMediatedNotConflicting) {
   // The channel crosses shards but nothing observes it outside the mailbox
   // discipline: legal, conflict-free.
   EXPECT_TRUE(analysis.conflict_free());
-  // Round-level granularity stays conservative: candidates of the two
-  // endpoint owners are serialized by the threaded backend.
-  EXPECT_TRUE(analysis.modules_conflict(a, b));
 }
 
 TEST(ConflictAnalysisTest, SystemModulesSharingGuardedChannelConflict) {
@@ -137,7 +133,6 @@ TEST(ConflictAnalysisTest, LossRngSharedAcrossShardsConflicts) {
   ASSERT_FALSE(analysis.conflict_free());
   EXPECT_EQ(analysis.conflicts()[0].kind,
             ChannelConflict::Kind::SharedLossRng);
-  EXPECT_TRUE(analysis.modules_conflict(a, b));
 }
 
 TEST(ConflictAnalysisTest, Fig2TestbedConfigurationIsConflictFree) {
@@ -201,9 +196,9 @@ TEST(TransferMailboxTest, CrossShardDeliveryIsTwoPhase) {
 
 /// Deliberately ill-formed world: a producer streams tokens while the
 /// consumer's guards observe the queue length, so a same-round producer
-/// firing flips which consumer transition is fireable. Without conflict-set
-/// revalidation the threaded backend fires both candidates against the
-/// round-start snapshot and diverges from the sequential scheduler.
+/// firing flips which consumer transition is fireable. Without revalidation
+/// a parallel backend fires both candidates against the round-start
+/// snapshot and diverges from the sequential scheduler.
 struct IllFormed {
   Specification spec{"illformed"};
   Module* producer = nullptr;
@@ -250,7 +245,7 @@ struct IllFormed {
   }
 };
 
-TEST(ThreadedConflictRevalidation, IllFormedSpecNoLongerDiverges) {
+TEST(ShardRevalidation, IllFormedSpecNoLongerDiverges) {
   const auto run_kind = [](ExecutorKind kind) {
     IllFormed world;
     TraceRecorder trace;
@@ -263,26 +258,21 @@ TEST(ThreadedConflictRevalidation, IllFormedSpecNoLongerDiverges) {
   const auto seq = run_kind(ExecutorKind::Sequential);
   ASSERT_FALSE(std::get<0>(seq).empty());
   EXPECT_GT(std::get<2>(seq), 0);  // the pair path is actually exercised
-  // The producer and consumer share a channel, so the threaded backend
-  // serializes them with revalidation and immediate delivery — the
-  // sequential discipline, hence the identical trace.
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), seq);
-  // The sharded backend applies the same revalidation inside the shard's
-  // serial round, so the world ends in the identical state; its *announced*
-  // trace may include candidates revalidation then skipped (announcement
-  // precedes worker execution), so only the outcome is compared.
-  const auto shd = run_kind(ExecutorKind::Sharded);
-  EXPECT_EQ(std::get<1>(shd), std::get<1>(seq));
-  EXPECT_EQ(std::get<2>(shd), std::get<2>(seq));
+  // Producer and consumer share one shard, which both sharded backends run
+  // serially with revalidation and immediate delivery — the sequential
+  // discipline — and announce only what actually fired, hence the
+  // identical trace.
+  EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
 }
 
-TEST(ThreadedConflictRevalidation, ChannelSharingModulesAreSerialized) {
+TEST(ShardRevalidation, ChannelSharingModulesAreSerialized) {
   // Two modules share a channel AND mutate one unprotected counter from
-  // their actions. Because they share the channel, the conflict sets
-  // intersect and the threaded backend never runs them concurrently: the
+  // their actions. They live in one system module, hence one shard, and the
+  // real-thread backends never run a shard's firings concurrently: the
   // counter ends exactly at the sequential value (and the CI TSan job sees
   // no race). This is the Estelle contract in miniature — modules that
-  // share state must share a channel for the runtime to serialize them.
+  // share state must share a shard for the runtime to serialize them.
   const auto run_kind = [](ExecutorKind kind) {
     Specification spec("racy");
     auto& sys =
@@ -314,7 +304,8 @@ TEST(ThreadedConflictRevalidation, ChannelSharingModulesAreSerialized) {
   };
 
   EXPECT_EQ(run_kind(ExecutorKind::Sequential), 800);
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), 800);
+  EXPECT_EQ(run_kind(ExecutorKind::Sharded), 800);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), 800);
 }
 
 TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {

@@ -434,6 +434,8 @@ bool reference_matches(const Filter& f, const MovieEntry& e) {
 }
 
 struct ModelDsa {
+  explicit ModelDsa(std::string d) : domain(std::move(d)) {}
+
   std::string domain;
   std::vector<MovieEntry> entries;  // ascending id
   std::uint64_t next_id = 1;
@@ -704,7 +706,7 @@ TEST(DsaDifferential, MatchesLinearScanModel) {
     Dsa a("west"), b("east"), c("east");
     a.add_peer(b);
     a.add_peer(c);
-    ModelDsa ma{"west"}, mb{"east"}, mc{"east"};
+    ModelDsa ma("west"), mb("east"), mc("east");
     Dsa* dsas[] = {&a, &b, &c};
     ModelDsa* models[] = {&ma, &mb, &mc};
 

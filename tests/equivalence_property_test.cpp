@@ -1,6 +1,6 @@
-// Property test: for randomly generated module graphs, all three executors
-// (sequential, simulated-parallel under every mapping, real-thread) reach
-// identical final states. This is the semantic core of the paper's claim
+// Property test: for randomly generated module graphs, every executor
+// (sequential, simulated-parallel under every mapping, and the real-thread
+// Sharded and FreeRunning backends) reaches identical final states. This is the semantic core of the paper's claim
 // that the generated implementation may be parallelized at all: the Estelle
 // semantics make parallel execution observationally equivalent to
 // sequential execution.
@@ -125,10 +125,12 @@ TEST_P(EquivalenceProperty, AllExecutorsAgreeOnRandomGraphs) {
                         << " seed=" << seed;
   }
 
-  const GraphResult thr = run_random_graph(seed, [](Specification& s) {
-    make_executor(s, {.kind = ExecutorKind::Threaded, .threads = 4})->run();
-  });
-  EXPECT_EQ(thr, seq) << "threaded, seed=" << seed;
+  for (ExecutorKind kind : {ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+    const GraphResult real = run_random_graph(seed, [kind](Specification& s) {
+      make_executor(s, {.kind = kind, .threads = 4})->run();
+    });
+    EXPECT_EQ(real, seq) << executor_kind_name(kind) << ", seed=" << seed;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceProperty,

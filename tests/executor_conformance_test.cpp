@@ -1,17 +1,19 @@
 // Executor conformance: the paper's interchangeability claim as a test.
 //
-// One specification, all registered ExecutorKinds constructed through the
-// factory. Every backend must produce the identical firing trace on a
+// One specification, every ExecutorKind constructed through
+// make_executor. Every backend must produce the identical firing trace on a
 // deterministic workload, and every RunReport must satisfy the same
 // invariants: fired counts consistent with observed events, monotone
 // virtual time, correct stop reasons, quiescence idempotence.
 //
 // The identical-trace contract is stated for conflict-free specifications
 // (see estelle/conflict.hpp). Ill-formed (conflicting) specs are exercised
-// separately in conflict_test.cpp: the threaded backend serializes
-// conflicting candidates with revalidation, so even those no longer diverge.
+// separately in conflict_test.cpp and random_spec_differential_test.cpp: the
+// sharded backends revalidate every candidate inside a shard's serial round
+// and announce only what fired, so even those do not diverge.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,15 +154,26 @@ TEST(ExecutorConformance, AllKindsProduceIdenticalFiringTraces) {
   }
 }
 
-TEST(ExecutorConformance, FactoryKnowsAllKindsAndNamesRoundTrip) {
-  auto& factory = ExecutorFactory::instance();
+TEST(ExecutorConformance, KindNamesRoundTrip) {
   for (ExecutorKind kind : kAllExecutorKinds) {
-    EXPECT_TRUE(factory.known(kind));
     ExecutorKind parsed{};
     ASSERT_TRUE(executor_kind_from_name(executor_kind_name(kind), &parsed));
     EXPECT_EQ(parsed, kind);
   }
+  ExecutorKind parsed{};
+  ASSERT_TRUE(executor_kind_from_name("distributed", &parsed));
+  EXPECT_EQ(parsed, ExecutorKind::Distributed);
   EXPECT_FALSE(executor_kind_from_name("no-such-backend", nullptr));
+  EXPECT_FALSE(executor_kind_from_name("threaded", nullptr));
+
+  // A value outside the enum is rejected, not silently defaulted.
+  Specification spec("bad-kind");
+  spec.root().create_child<Module>("sys", Attribute::SystemProcess);
+  spec.initialize();
+  EXPECT_THROW(
+      (void)make_executor(spec, {.kind = static_cast<ExecutorKind>(99)}),
+      std::invalid_argument);
+  EXPECT_STREQ(executor_kind_name(static_cast<ExecutorKind>(99)), "?");
 }
 
 TEST(ExecutorConformance, StopConditionsReportTheirReason) {
@@ -327,8 +340,8 @@ TEST(ExecutorConformance, CrossShardSpecTraceEquivalence) {
 
   const auto seq = run_kind(ExecutorKind::Sequential);
   ASSERT_EQ(seq.size(), 12u);  // 6 sends + 6 echoes
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), seq);
   EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
 }
 
 TEST(ExecutorConformance, ShardedReportCarriesPerShardStats) {

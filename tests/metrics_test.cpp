@@ -12,16 +12,25 @@ namespace {
 
 using common::SimTime;
 
+/// `fast` and `slow` tick in one system module; `sharded` moves `slow` into
+/// a second system module and adds an idle third, so the sharded backends
+/// see three shards, two of them active.
 struct TickWorld {
   Specification spec{"ticks"};
   Module* fast = nullptr;
   Module* slow = nullptr;
 
-  TickWorld() {
+  explicit TickWorld(bool sharded = false) {
     auto& sys =
         spec.root().create_child<Module>("sys", Attribute::SystemProcess);
+    Module& slow_parent =
+        sharded ? spec.root().create_child<Module>("sys2",
+                                                   Attribute::SystemProcess)
+                : sys;
+    if (sharded)
+      spec.root().create_child<Module>("sys3", Attribute::SystemProcess);
     fast = &sys.create_child<Module>("fast", Attribute::Process);
-    slow = &sys.create_child<Module>("slow", Attribute::Process);
+    slow = &slow_parent.create_child<Module>("slow", Attribute::Process);
     const auto counting = [](int limit) {
       return [limit](Module& m, const Interaction*) {
         return m.state() < limit;
@@ -90,33 +99,35 @@ TEST(MetricsObserverTest, PersistentAttachmentAggregatesAcrossRuns) {
   EXPECT_EQ(metrics.total_fired(), 0u);
 }
 
-TEST(MetricsObserverTest, ThreadedBackendHonorsWorkerCountOptions) {
-  // The Threaded backend used to spawn a hard-coded number of threads per
-  // round; it now sizes a persistent pool from ExecutorConfig::threads
-  // (0 ⇒ hardware_concurrency()) with RunOptions::worker_count overriding
-  // per run — and the metrics must be identical whatever the width, because
-  // announcements stay on the run thread.
-  TickWorld world;
-  auto executor =
-      make_executor(world.spec, {.kind = ExecutorKind::Threaded});
-  EXPECT_EQ(executor->unit_count(), resolve_worker_count(0));
+TEST(MetricsObserverTest, RealThreadBackendsHonorWorkerCountOptions) {
+  // The real-thread backends size a persistent pool from
+  // ExecutorConfig::threads (0 ⇒ hardware_concurrency()) with
+  // RunOptions::worker_count overriding per run — and the metrics must be
+  // identical whatever the width, because announcements stay on the run
+  // thread.
+  for (ExecutorKind kind : {ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+    SCOPED_TRACE(executor_kind_name(kind));
+    TickWorld world(/*sharded=*/true);
+    auto executor = make_executor(world.spec, {.kind = kind});
+    EXPECT_EQ(executor->unit_count(), resolve_worker_count(0));
 
-  MetricsObserver metrics;
-  executor->run({.observers = {&metrics}, .worker_count = 3});
-  EXPECT_EQ(executor->unit_count(), 3);  // pool resized for this run
-  EXPECT_EQ(metrics.total_fired(), 11u);
-  EXPECT_EQ(metrics.fired_by("spec:ticks.sys.fast"), 8u);
-  EXPECT_EQ(metrics.fired_by("spec:ticks.sys.slow"), 3u);
+    MetricsObserver metrics;
+    executor->run({.observers = {&metrics}, .worker_count = 3});
+    EXPECT_EQ(executor->unit_count(), 3);  // pool resized for this run
+    EXPECT_EQ(metrics.total_fired(), 11u);
+    EXPECT_EQ(metrics.fired_by("spec:ticks.sys.fast"), 8u);
+    EXPECT_EQ(metrics.fired_by("spec:ticks.sys2.slow"), 3u);
 
-  // Explicit config width; a run without an override restores it.
-  TickWorld world2;
-  auto executor2 = make_executor(
-      world2.spec, {.kind = ExecutorKind::Threaded, .threads = 2});
-  EXPECT_EQ(executor2->unit_count(), 2);
-  MetricsObserver metrics2;
-  executor2->run({.observers = {&metrics2}});
-  EXPECT_EQ(executor2->unit_count(), 2);
-  EXPECT_EQ(metrics2.total_fired(), 11u);
+    // Explicit config width; a run without an override restores it.
+    TickWorld world2(/*sharded=*/true);
+    auto executor2 =
+        make_executor(world2.spec, {.kind = kind, .threads = 2});
+    EXPECT_EQ(executor2->unit_count(), 2);
+    MetricsObserver metrics2;
+    executor2->run({.observers = {&metrics2}});
+    EXPECT_EQ(executor2->unit_count(), 2);
+    EXPECT_EQ(metrics2.total_fired(), 11u);
+  }
 }
 
 TEST(MetricsObserverTest, ReportsEmptyWithoutObserver) {

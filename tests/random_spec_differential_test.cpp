@@ -14,22 +14,22 @@
 //     out-IP is written by exactly one transition (so per-IP loss-Rng draw
 //     order is the writer's firing order, which every backend preserves),
 //     and all activity is budget-bounded so every spec quiesces.
-//   * exact firing-trace identity: Threaded and Sharded — the deterministic
-//     real-thread backends. The sharded backend owes this even on specs
-//     that are ill-formed *within* one shard (a same-round firing disabling
-//     a sibling candidate): announce-after-revalidation replays only what
-//     actually fired. Threaded is exempted only on specs with delay
-//     clauses, where its nominal 1µs round tick matures delays on a
-//     different schedule than the sequential cost-model clock, legally
-//     reordering rounds (the trace multiset must still match).
+//   * exact firing-trace identity: Sharded and FreeRunning — the
+//     deterministic real-thread backends — on every spec, delay clauses
+//     included. Both owe this even on specs that are ill-formed *within*
+//     one shard (a same-round firing disabling a sibling candidate):
+//     announce-after-revalidation replays only what actually fired.
+//     FreeRunning covers both of its paths here: conflict-free specs run
+//     free-running (one continuation per shard), the rest take the
+//     epoch-based fallback.
 //   * trace-multiset identity: ParallelSim announces a round's firings in
 //     simulated-engine completion order, so within-round order is not
 //     comparable; the multiset and the world must still match. Specs whose
 //     semantics depend on candidate order beyond what the engine preserves
 //     (a captured budget shared across modules, a loss Rng shared across
 //     shards) are excluded for this backend — they are exactly the specs
-//     ConflictAnalysis calls ill-formed, and only the conflict-serializing
-//     backends (Threaded, Sharded) owe identity on them.
+//     ConflictAnalysis calls ill-formed, and only the shard-serializing
+//     backends (Sharded, FreeRunning) owe identity on them.
 //
 // The generator (random_spec_gen.hpp, shared with the ready-set
 // differential suite) is pure: one seed, one specification, bit-identical
@@ -68,6 +68,7 @@ struct Outcome {
   std::string world;
   StopReason reason{};
   std::uint64_t fired = 0;
+  std::uint64_t fallback_rounds = 0;  // FreeRunning epoch-path rounds
 };
 
 Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
@@ -83,6 +84,7 @@ Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
   const RunReport report = executor->run({.observers = {&trace}});
   out.reason = report.reason;
   out.fired = report.fired;
+  out.fallback_rounds = report.free_running.fallback_rounds;
   out.trace.reserve(trace.events().size());
   for (const TraceEvent& e : trace.events())
     out.trace.push_back(e.module_path + "/" + e.transition);
@@ -98,7 +100,7 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
 TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
   const int n = spec_count();
   int multi_shard = 0, with_delay = 0, conflicted = 0, skip_probes = 0;
-  int sparse = 0;
+  int sparse = 0, free_running = 0, fallback = 0;
 
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -115,23 +117,20 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     ASSERT_GT(seq.fired, 0u);
     ASSERT_EQ(seq.fired, seq.trace.size());
 
-    const Outcome thr = run_backend(seed, ExecutorKind::Threaded);
-    EXPECT_EQ(thr.reason, StopReason::Quiescent);
-    EXPECT_EQ(thr.world, seq.world) << "Threaded world diverged";
-    EXPECT_EQ(thr.fired, seq.fired);
-    if (!probe.has_delay)
-      EXPECT_EQ(thr.trace, seq.trace) << "Threaded trace diverged";
-    else
-      EXPECT_EQ(sorted(thr.trace), sorted(seq.trace));
-
-    const Outcome shd = run_backend(seed, ExecutorKind::Sharded);
-    EXPECT_EQ(shd.reason, StopReason::Quiescent);
-    EXPECT_EQ(shd.world, seq.world) << "Sharded world diverged";
-    EXPECT_EQ(shd.fired, seq.fired);
-    // The sharded backend owes the exact announced trace everywhere the
+    // The sharded backends owe the exact announced trace everywhere the
     // generator roams — including ill-formed-within-a-shard specs, which is
     // announce-after-revalidation's whole point.
-    EXPECT_EQ(shd.trace, seq.trace) << "Sharded trace diverged";
+    for (ExecutorKind kind :
+         {ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+      SCOPED_TRACE(executor_kind_name(kind));
+      const Outcome out = run_backend(seed, kind);
+      EXPECT_EQ(out.reason, StopReason::Quiescent);
+      EXPECT_EQ(out.world, seq.world) << "world diverged";
+      EXPECT_EQ(out.fired, seq.fired);
+      EXPECT_EQ(out.trace, seq.trace) << "trace diverged";
+      if (kind == ExecutorKind::FreeRunning)
+        ++(out.fallback_rounds == 0 ? free_running : fallback);
+    }
 
     if (probe.parallelsim_ok) {
       const Outcome par = run_backend(seed, ExecutorKind::ParallelSim);
@@ -151,6 +150,9 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     EXPECT_GE(conflicted, 3);
     EXPECT_GE(skip_probes, 5);
     EXPECT_GE(sparse, 5);
+    // The FreeRunning arm must exercise both of its dispatch paths.
+    EXPECT_GE(free_running, 5);
+    EXPECT_GE(fallback, 5);
   }
 }
 

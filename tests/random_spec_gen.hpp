@@ -265,10 +265,10 @@ inline GeneratedWorld generate(std::uint64_t seed) {
     // Two channel-linked siblings racing a shared captured budget: in the
     // final round both are candidates and the first firing zeroes the
     // budget, so the second must be revalidated away. Sequential announces
-    // only the real firing; so must every conflict-serializing backend
-    // (this is the announce-after-revalidation probe). The channel is what
-    // makes ConflictAnalysis serialize the pair under Threaded; the engine
-    // order of ParallelSim legally splits the budget differently.
+    // only the real firing; so must every shard-serializing backend (this
+    // is the announce-after-revalidation probe). Both siblings live in one
+    // shard, which the sharded backends run serially; the engine order of
+    // ParallelSim legally splits the budget differently.
     Module& host = *sys_modules[0][0];
     auto& x = host.create_child<Module>("grab_x", Attribute::Process);
     auto& y = host.create_child<Module>("grab_y", Attribute::Process);

@@ -10,12 +10,15 @@
 //   * ExecutorConfig::verify_ready_set — the scheduler itself recomputes the
 //     reference full scan after every dirty-set collection and throws on the
 //     first divergence; the sweep here runs the shared random-spec generator
-//     through Sequential/Threaded/Sharded with the flag on.
-//   * mode differential — full runs under {full_scan, dirty-set} must agree
-//     on the world snapshot and fired count always, and on the exact trace
-//     whenever the spec has no delay clauses (the two modes charge different
-//     virtual scan costs, so delay maturation may legally reorder rounds;
-//     same exemption the threaded backend gets in the backend differential).
+//     through Sequential, Sharded and FreeRunning with the flag on, so the
+//     shard backends' per-shard dirty sets are checked every round (and
+//     random_spec_differential_test pins their traces to Sequential's).
+//   * mode differential — Sequential full runs under {full_scan, dirty-set}
+//     must agree on the world snapshot and fired count always, and on the
+//     exact trace whenever the spec has no delay clauses (the two modes
+//     charge different virtual scan costs, so delay maturation may legally
+//     reorder rounds). full_scan is the Sequential baseline only; the other
+//     backends ignore it.
 //   * hot-path assertions — on a sparse world (N idle, K active) the
 //     dirty-set scheduler must examine an order of magnitude fewer guards
 //     per firing than the full scan, and steady-state rounds must not grow
@@ -89,8 +92,8 @@ TEST(ReadySetDifferential, VerifiedAgainstFullScanEveryRound) {
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     for (ExecutorKind kind :
-         {ExecutorKind::Sequential, ExecutorKind::Threaded,
-          ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+         {ExecutorKind::Sequential, ExecutorKind::Sharded,
+          ExecutorKind::FreeRunning}) {
       SCOPED_TRACE(executor_kind_name(kind));
       const Outcome out = run_mode(seed, kind, /*full_scan=*/false,
                                    /*verify=*/true);
@@ -105,22 +108,19 @@ TEST(ReadySetDifferential, ReadyAndFullScanModesAgree) {
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const specgen::GeneratedWorld probe = specgen::generate(seed);
-    for (ExecutorKind kind :
-         {ExecutorKind::Sequential, ExecutorKind::Threaded,
-          ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
-      SCOPED_TRACE(executor_kind_name(kind));
-      const Outcome full = run_mode(seed, kind, /*full_scan=*/true, false);
-      const Outcome ready = run_mode(seed, kind, /*full_scan=*/false, false);
-      EXPECT_EQ(ready.world, full.world) << "world diverged across modes";
-      EXPECT_EQ(ready.fired, full.fired);
-      EXPECT_EQ(ready.reason, full.reason);
-      if (!probe.has_delay) {
-        // Without delay clauses both modes produce identical rounds, so the
-        // trace must match exactly; with delays the differing virtual scan
-        // costs legally reschedule maturation (compare as multisets via the
-        // world+fired equality above).
-        EXPECT_EQ(ready.trace, full.trace) << "trace diverged across modes";
-      }
+    const Outcome full =
+        run_mode(seed, ExecutorKind::Sequential, /*full_scan=*/true, false);
+    const Outcome ready =
+        run_mode(seed, ExecutorKind::Sequential, /*full_scan=*/false, false);
+    EXPECT_EQ(ready.world, full.world) << "world diverged across modes";
+    EXPECT_EQ(ready.fired, full.fired);
+    EXPECT_EQ(ready.reason, full.reason);
+    if (!probe.has_delay) {
+      // Without delay clauses both modes produce identical rounds, so the
+      // trace must match exactly; with delays the differing virtual scan
+      // costs legally reschedule maturation (compare as multisets via the
+      // world+fired equality above).
+      EXPECT_EQ(ready.trace, full.trace) << "trace diverged across modes";
     }
   }
 }
@@ -266,8 +266,8 @@ TEST(ReadySetDifferential, IdleGuardedModulesCostNothingPerRound) {
 
 TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
   for (ExecutorKind kind :
-       {ExecutorKind::Sequential, ExecutorKind::Threaded,
-        ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+       {ExecutorKind::Sequential, ExecutorKind::Sharded,
+        ExecutorKind::FreeRunning}) {
     SCOPED_TRACE(executor_kind_name(kind));
     Specification spec("mutate");
     auto& sys =

@@ -1,8 +1,9 @@
 // WorkerPool unit tests: the epoch barrier under contention, stealing and
 // its fairness counters, graceful shutdown with queued tasks, reuse across
 // epochs and across Executor::run() calls, and oversubscription (more
-// workers than tasks/shards). The pool is the substrate of the Threaded and
-// Sharded backends, so these tests run under the TSan CI job.
+// workers than tasks/shards). The pool is the substrate of the Sharded,
+// FreeRunning and Distributed backends, so these tests run under the TSan CI
+// job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +15,6 @@
 
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
-#include "estelle/sched.hpp"
 #include "estelle/shard_executor.hpp"
 #include "estelle/worker_pool.hpp"
 
@@ -41,8 +41,9 @@ TEST(WorkerPoolTest, EpochBarrierCompletesEveryTaskBeforeReturning) {
   for (int e = 1; e <= kEpochs; ++e) {
     for (int k = 0; k < kTasks; ++k)
       pool.submit(k, [&done](int) { done.fetch_add(1); });
-    EXPECT_EQ(pool.run_epoch(), static_cast<std::size_t>(kTasks));
-    // The barrier: by the time run_epoch returns, every task of the epoch
+    EXPECT_EQ(pool.launch(), static_cast<std::size_t>(kTasks));
+    pool.wait_idle();
+    // The barrier: by the time wait_idle returns, every task of the epoch
     // has finished — no stragglers, under repeated contention.
     EXPECT_EQ(done.load(), e * kTasks);
     EXPECT_EQ(pool.pending(), 0u);
@@ -58,7 +59,8 @@ TEST(WorkerPoolTest, EpochResultsAreVisibleWithoutExtraSynchronization) {
   std::vector<int> results(128, 0);
   for (int k = 0; k < 128; ++k)
     pool.submit(k, [&results, k](int) { results[static_cast<std::size_t>(k)] = k * k; });
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   for (int k = 0; k < 128; ++k)
     ASSERT_EQ(results[static_cast<std::size_t>(k)], k * k);
 }
@@ -75,7 +77,8 @@ TEST(WorkerPoolTest, IdleWorkersStealFromLoadedDeques) {
       while (running.load() < kWorkers) std::this_thread::yield();
     });
   }
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
 
   const auto stats = pool.worker_stats();
   EXPECT_EQ(total_executed(pool), static_cast<std::uint64_t>(kWorkers));
@@ -101,7 +104,8 @@ TEST(WorkerPoolTest, ExecutingWorkerIdIsReportedToTheTask) {
       while (running.load() < kWorkers) std::this_thread::yield();
     });
   }
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   // Every worker id in range, all distinct (one task each by rendezvous).
   std::vector<int> seen(kWorkers, 0);
   for (int w : ran_on) {
@@ -118,7 +122,7 @@ TEST(WorkerPoolTest, ShutdownWithQueuedTasksIsGracefulAndDropsThem) {
     WorkerPool pool(3);
     for (int k = 0; k < 10; ++k) pool.submit(k, [&ran](int) { ran.fetch_add(1); });
     EXPECT_EQ(pool.pending(), 10u);
-    // No run_epoch: destruction must join the parked workers without running
+    // No launch: destruction must join the parked workers without running
     // (or leaking) the queued tasks.
   }
   EXPECT_EQ(ran.load(), 0);
@@ -129,14 +133,15 @@ TEST(WorkerPoolTest, ShutdownImmediatelyAfterEpochIsGraceful) {
   {
     WorkerPool pool(2);
     for (int k = 0; k < 8; ++k) pool.submit(k, [&ran](int) { ran.fetch_add(1); });
-    pool.run_epoch();
+    pool.launch();
+    pool.wait_idle();
   }
   EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(WorkerPoolTest, EmptyEpochDoesNotWakeWorkers) {
   WorkerPool pool(2);
-  EXPECT_EQ(pool.run_epoch(), 0u);
+  EXPECT_EQ(pool.launch(), 0u);
   EXPECT_EQ(pool.epochs(), 0u);
   EXPECT_EQ(total_executed(pool), 0u);
 }
@@ -149,7 +154,8 @@ TEST(WorkerPoolTest, FixedRingHoldsSteadyEpochsWithoutSpilling) {
   for (int e = 0; e < 20; ++e) {
     for (int k = 0; k < static_cast<int>(WorkerPool::kRingSlots); ++k)
       pool.submit(k % 2, [&done](int) { done.fetch_add(1); });
-    pool.run_epoch();
+    pool.launch();
+    pool.wait_idle();
   }
   EXPECT_EQ(done.load(), 20 * static_cast<int>(WorkerPool::kRingSlots));
   EXPECT_EQ(pool.spills(), 0u);
@@ -163,13 +169,15 @@ TEST(WorkerPoolTest, RingSpillsPastHighWaterAndPreservesFifo) {
   std::vector<int> order;
   for (int k = 0; k < kTasks; ++k)
     pool.submit(0, [&order, k](int) { order.push_back(k); });
-  EXPECT_EQ(pool.run_epoch(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(pool.launch(), static_cast<std::size_t>(kTasks));
+  pool.wait_idle();
   EXPECT_EQ(pool.spills(), 20u);
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
   for (int k = 0; k < kTasks; ++k) EXPECT_EQ(order[static_cast<std::size_t>(k)], k);
   // Back under high water: no further spills.
   pool.submit(0, [](int) {});
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   EXPECT_EQ(pool.spills(), 20u);
 }
 
@@ -220,7 +228,8 @@ TEST(WorkerPoolTest, OversubscriptionMoreWorkersThanTasks) {
   for (int e = 0; e < 20; ++e) {
     pool.submit(0, [&done](int) { done.fetch_add(1); });
     pool.submit(5, [&done](int) { done.fetch_add(1); });
-    EXPECT_EQ(pool.run_epoch(), 2u);
+    EXPECT_EQ(pool.launch(), 2u);
+    pool.wait_idle();
   }
   EXPECT_EQ(done.load(), 40);
   EXPECT_EQ(total_executed(pool), 40u);
@@ -229,17 +238,16 @@ TEST(WorkerPoolTest, OversubscriptionMoreWorkersThanTasks) {
 // ---------------------------------------------------------------------------
 // Pool reuse through the executors.
 
-/// Two independent workers inside one system module: every round has two
-/// conflict-free candidates, so the Threaded backend uses its pool each
-/// round.
+/// Six independent system modules, one worker each: every epoch has six
+/// active shards on a conflict-free specification, so the Sharded backend
+/// uses its pool each epoch.
 struct ParallelWorld {
   Specification spec{"pw"};
   explicit ParallelWorld(int limit = 6) {
-    auto& sys =
-        spec.root().create_child<Module>("sys", Attribute::SystemProcess);
-    for (int i = 0; i < 2; ++i) {
-      auto& w = sys.create_child<Module>("w" + std::to_string(i),
-                                         Attribute::Process);
+    for (int i = 0; i < 6; ++i) {
+      auto& sys = spec.root().create_child<Module>(
+          "sys" + std::to_string(i), Attribute::SystemProcess);
+      auto& w = sys.create_child<Module>("w", Attribute::Process);
       w.trans("tick")
           .provided([limit](Module& m, const Interaction*) {
             return m.state() < limit;
@@ -251,14 +259,13 @@ struct ParallelWorld {
     spec.initialize();
   }
   void rearm() {
-    for (auto& child : spec.root().children()[0]->children())
-      child->set_state(0);
+    for (Module* sys : spec.system_modules()) sys->children()[0]->set_state(0);
   }
 };
 
-TEST(WorkerPoolTest, ThreadedSchedulerReusesOnePoolAcrossRuns) {
+TEST(WorkerPoolTest, ShardedExecutorReusesOnePoolAcrossRuns) {
   ParallelWorld world;
-  ThreadedScheduler sched(world.spec, {.threads = 3});
+  ShardedExecutor sched(world.spec, {.threads = 3});
   sched.run();
   ASSERT_NE(sched.pool(), nullptr);
   const WorkerPool* pool = sched.pool();
@@ -274,7 +281,7 @@ TEST(WorkerPoolTest, ThreadedSchedulerReusesOnePoolAcrossRuns) {
 
 TEST(WorkerPoolTest, RunOptionsWorkerCountResizesThePool) {
   ParallelWorld world;
-  ThreadedScheduler sched(world.spec, {.threads = 2});
+  ShardedExecutor sched(world.spec, {.threads = 2});
   sched.run();
   EXPECT_EQ(sched.pool()->worker_count(), 2);
   EXPECT_EQ(sched.unit_count(), 2);

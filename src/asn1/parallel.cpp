@@ -45,33 +45,16 @@ common::Bytes encode_parallel(const Value& v, int workers) {
   }
   for (auto& t : threads) t.join();
 
-  // Merge: emit the outer header, then splice the pre-encoded slices. The
-  // header needs the total content length, which we get from the slices.
+  // Merge: the outer header (its length back-patched over the spliced
+  // slices), then the pre-encoded slices.
   std::size_t content_len = 0;
   for (const auto& s : slices) content_len += s.size();
-
   common::Bytes out;
   out.reserve(content_len + 8);
-  // Re-emit tag+length identically to encode_to(); we reuse the sequential
-  // encoder on a childless shell and then append the slices.
-  Value shell =
-      Value::raw(v.tag_class(), v.tag(), true, {}, {});
-  common::Bytes header = encode(shell);
-  // encode(shell) produced <tag> <len=0>; rebuild with the true length.
-  out.push_back(header[0]);
-  if (content_len < 128) {
-    out.push_back(static_cast<std::uint8_t>(content_len));
-  } else {
-    common::Bytes chunk;
-    std::size_t len = content_len;
-    while (len != 0) {
-      chunk.push_back(static_cast<std::uint8_t>(len & 0xff));
-      len >>= 8;
-    }
-    out.push_back(static_cast<std::uint8_t>(0x80 | chunk.size()));
-    out.insert(out.end(), chunk.rbegin(), chunk.rend());
-  }
+  Writer w(out);
+  const std::size_t mark = w.open(v.tag_class(), v.tag());
   for (const auto& s : slices) out.insert(out.end(), s.begin(), s.end());
+  w.close(mark);
   return out;
 }
 

@@ -1,33 +1,33 @@
 #include "asn1/value.hpp"
 
-#include <algorithm>
+#include "asn1/ber.hpp"
 #include "common/strf.hpp"
 
 namespace mcam::asn1 {
 
 namespace {
 
-Bytes encode_twos_complement(std::int64_t v) {
-  // Minimal-length two's complement per BER: strip redundant leading octets.
-  Bytes out;
-  bool more = true;
-  // Build little-endian then reverse. Shifting one octet at a time (never
-  // by 64) ends after at most eight octets, when `rest` is all sign bits.
-  std::int64_t rest = v;
-  while (more) {
-    out.push_back(static_cast<std::uint8_t>(rest & 0xff));
-    rest >>= 8;  // arithmetic: keeps the sign
-    const bool sign_bit = (out.back() & 0x80) != 0;
-    more = !((rest == 0 && !sign_bit) || (rest == -1 && sign_bit));
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
-}
-
 Value universal(UniversalTag t, bool constructed, Bytes content,
                 std::vector<Value> children = {}) {
   return Value::raw(TagClass::Universal, static_cast<std::uint32_t>(t),
                     constructed, std::move(content), std::move(children));
+}
+
+Bytes int_content(std::int64_t v) {
+  Bytes out;
+  Writer(out).int_content(v);
+  return out;
+}
+
+/// This node's identifier and content, for the cursor's typed getters.
+Tlv view(const Value& v) {
+  return Tlv{v.tag_class(), v.tag(), v.constructed(), v.content(), 0};
+}
+
+template <typename T, typename Get>
+common::Result<T> checked(Asn1Error e, Get&& get) {
+  if (e != kOk) return to_error(e);
+  return get();
 }
 
 }  // namespace
@@ -49,11 +49,11 @@ Value Value::boolean(bool v) {
 }
 
 Value Value::integer(std::int64_t v) {
-  return universal(UniversalTag::Integer, false, encode_twos_complement(v));
+  return universal(UniversalTag::Integer, false, int_content(v));
 }
 
 Value Value::enumerated(std::int64_t v) {
-  return universal(UniversalTag::Enumerated, false, encode_twos_complement(v));
+  return universal(UniversalTag::Enumerated, false, int_content(v));
 }
 
 Value Value::octet_string(Bytes content) {
@@ -75,25 +75,8 @@ Value Value::printable(std::string_view s) {
 Value Value::null() { return universal(UniversalTag::Null, false, {}); }
 
 Value Value::oid(std::vector<std::uint32_t> arcs) {
-  // ISO 8825 §8.19: first two arcs pack into one octet; remaining arcs are
-  // base-128 with continuation bits.
   Bytes content;
-  if (arcs.size() >= 2) {
-    content.push_back(static_cast<std::uint8_t>(arcs[0] * 40 + arcs[1]));
-  } else if (arcs.size() == 1) {
-    content.push_back(static_cast<std::uint8_t>(arcs[0] * 40));
-  }
-  for (std::size_t i = 2; i < arcs.size(); ++i) {
-    std::uint32_t arc = arcs[i];
-    Bytes chunk;
-    chunk.push_back(static_cast<std::uint8_t>(arc & 0x7f));
-    arc >>= 7;
-    while (arc != 0) {
-      chunk.push_back(static_cast<std::uint8_t>(0x80 | (arc & 0x7f)));
-      arc >>= 7;
-    }
-    content.insert(content.end(), chunk.rbegin(), chunk.rend());
-  }
+  Writer(content).oid_content(arcs);
   return universal(UniversalTag::ObjectIdentifier, false, std::move(content));
 }
 
@@ -106,9 +89,8 @@ Value Value::set(std::vector<Value> children) {
 }
 
 Value Value::context(std::uint32_t tag, Value inner) {
-  std::vector<Value> children;
-  children.push_back(std::move(inner));
-  return raw(TagClass::ContextSpecific, tag, true, {}, std::move(children));
+  return raw(TagClass::ContextSpecific, tag, true, {},
+             values(std::move(inner)));
 }
 
 Value Value::context_primitive(std::uint32_t tag, Bytes content) {
@@ -127,57 +109,31 @@ const Value* Value::find_context(std::uint32_t t) const noexcept {
 }
 
 common::Result<std::int64_t> Value::as_int() const {
-  const bool int_like = is_universal(UniversalTag::Integer) ||
-                        is_universal(UniversalTag::Enumerated) ||
-                        class_ == TagClass::ContextSpecific;
-  if (!int_like || constructed_)
-    return common::Error::make(kWrongType, "not an INTEGER: " + to_string());
-  if (content_.empty() || content_.size() > 8)
-    return common::Error::make(kBadLength, "INTEGER content length invalid");
-  std::int64_t v = (content_[0] & 0x80) ? -1 : 0;
-  for (std::uint8_t octet : content_) v = (v << 8) | octet;
-  return v;
+  std::int64_t v = 0;
+  return checked<std::int64_t>(view(*this).integer(v), [&] { return v; });
 }
 
 common::Result<bool> Value::as_bool() const {
-  if (!is_universal(UniversalTag::Boolean) || content_.size() != 1)
-    return common::Error::make(kWrongType, "not a BOOLEAN: " + to_string());
-  return content_[0] != 0;
+  bool v = false;
+  return checked<bool>(view(*this).boolean(v), [&] { return v; });
 }
 
 common::Result<std::string> Value::as_string() const {
-  const bool string_like = is_universal(UniversalTag::Ia5String) ||
-                           is_universal(UniversalTag::Utf8String) ||
-                           is_universal(UniversalTag::PrintableString) ||
-                           is_universal(UniversalTag::GeneralizedTime) ||
-                           class_ == TagClass::ContextSpecific;
-  if (!string_like || constructed_)
-    return common::Error::make(kWrongType, "not a string: " + to_string());
-  return std::string(content_.begin(), content_.end());
+  std::string_view v;
+  return checked<std::string>(view(*this).text(v),
+                              [&] { return std::string(v); });
 }
 
 common::Result<Bytes> Value::as_octets() const {
-  if (constructed_)
-    return common::Error::make(kWrongType,
-                               "constructed value has no content octets");
-  return content_;
+  ByteSpan v;
+  return checked<Bytes>(view(*this).octets(v),
+                        [&] { return Bytes(v.begin(), v.end()); });
 }
 
 common::Result<std::vector<std::uint32_t>> Value::as_oid() const {
-  if (!is_universal(UniversalTag::ObjectIdentifier) || content_.empty())
-    return common::Error::make(kWrongType, "not an OID: " + to_string());
   std::vector<std::uint32_t> arcs;
-  arcs.push_back(content_[0] / 40);
-  arcs.push_back(content_[0] % 40);
-  std::uint32_t acc = 0;
-  for (std::size_t i = 1; i < content_.size(); ++i) {
-    acc = (acc << 7) | (content_[i] & 0x7f);
-    if ((content_[i] & 0x80) == 0) {
-      arcs.push_back(acc);
-      acc = 0;
-    }
-  }
-  return arcs;
+  return checked<std::vector<std::uint32_t>>(view(*this).oid(arcs),
+                                             [&] { return std::move(arcs); });
 }
 
 common::Result<Value> Value::unwrap_context(std::uint32_t t) const {
@@ -202,21 +158,12 @@ std::string Value::to_string() const {
           return content_.size() == 1 && content_[0] ? "TRUE" : "FALSE";
         case UniversalTag::Integer:
         case UniversalTag::Enumerated: {
-          if (constructed_) {
-            // Hostile encodings only — as_int() rejects constructed values
-            // with a message that renders this value, so calling it here
-            // would recurse without bound. Render generically instead.
-            head = tag_ == static_cast<std::uint32_t>(UniversalTag::Enumerated)
-                       ? "ENUM"
-                       : "INTEGER";
-            break;
-          }
-          auto v = as_int();
-          head = v.ok() ? std::to_string(v.value()) : "INTEGER<bad>";
-          return (tag_ == static_cast<std::uint32_t>(UniversalTag::Enumerated)
-                      ? "ENUM "
-                      : "") +
-                 head;
+          const bool is_enum =
+              tag_ == static_cast<std::uint32_t>(UniversalTag::Enumerated);
+          if (auto v = as_int(); v.ok())
+            return (is_enum ? "ENUM " : "") + std::to_string(v.value());
+          head = is_enum ? "ENUM" : "INTEGER";  // malformed: render raw
+          break;
         }
         case UniversalTag::Null:
           return "NULL";
@@ -227,16 +174,11 @@ std::string Value::to_string() const {
         case UniversalTag::PrintableString:
           return '"' + std::string(content_.begin(), content_.end()) + '"';
         case UniversalTag::ObjectIdentifier: {
-          // Same recursion hazard as INTEGER above: as_oid() rejects these
-          // shapes with a message that renders this value.
-          if (constructed_ || content_.empty()) return "OID<bad>";
           auto arcs = as_oid();
           if (!arcs.ok()) return "OID<bad>";
-          std::string s = "OID ";
-          for (std::size_t i = 0; i < arcs.value().size(); ++i) {
-            if (i) s += '.';
-            s += std::to_string(arcs.value()[i]);
-          }
+          std::string s = "OID";
+          for (std::size_t i = 0; i < arcs.value().size(); ++i)
+            s += (i ? "." : " ") + std::to_string(arcs.value()[i]);
           return s;
         }
         case UniversalTag::Sequence:

@@ -1,11 +1,11 @@
 // ASN.1 value model (ISO 8824).
 //
-// The paper specifies all MCAM PDUs in ASN.1 and generates C++ data
-// structures plus encode/decode routines from that specification ([9], [16]).
-// We reproduce the generated-code layer as a dynamic value tree: a Value is
-// a (tag class, tag number, primitive|constructed) node holding either
-// content octets or child values. Typed factory functions and checked
-// accessors give the ergonomics of generated structs while keeping one codec.
+// The paper generates C++ structures plus encode/decode routines from the
+// ASN.1 specification of the MCAM PDUs ([9], [16]); here the typed structs
+// are coded straight to the wire by ber.hpp's Reader and Writer. A Value is
+// the dynamic form for what has no fixed type — Interaction::value, the
+// per-round transport frames, the parallel-encoding experiment: a (tag
+// class, tag number, form) node holding content octets or child values.
 #pragma once
 
 #include <cstdint>
@@ -143,8 +143,9 @@ std::vector<Value> values(Vs&&... children) {
   return out;
 }
 
-/// Error codes produced by ASN.1 accessors and the BER decoder.
+/// Error codes of the ASN.1 accessors and the BER codec (kOk: success).
 enum Asn1Error : int {
+  kOk = 0,
   kWrongType = 1001,
   kTruncated = 1002,
   kBadLength = 1003,

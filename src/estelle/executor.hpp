@@ -223,10 +223,10 @@ class RunObserver {
 struct RunOptions {
   /// Stop conditions, any-of. Empty ⇒ run to quiescence (or the executor's
   /// configured round backstop).
-  std::vector<StopCondition> stop;
+  std::vector<StopCondition> stop{};
   /// Observers for this run, notified in order. Not owned; must outlive the
   /// run() call.
-  std::vector<RunObserver*> observers;
+  std::vector<RunObserver*> observers{};
   /// Worker-thread count for this run under the real-thread backends
   /// (Sharded, FreeRunning). 0 ⇒ keep the executor's configured count
   /// (ExecutorConfig::threads, itself defaulting to hardware_concurrency()).
@@ -554,7 +554,7 @@ struct ExecutorConfig {
   /// Typed options of one backend, so it gets configuration without
   /// widening this struct: Distributed reads its transport::DistOptions
   /// from here.
-  std::any backend_options;
+  std::any backend_options{};
 };
 
 /// Build a runtime for `spec`; throws std::invalid_argument for a kind value

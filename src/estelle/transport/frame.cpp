@@ -53,100 +53,7 @@ Result<std::string> get_str(const Value& seq, std::size_t i) {
   return seq.child(i).as_string();
 }
 
-// ---------------------------------------------------------------------------
-// Direct BER writer — the transfer hot path.
-//
-// Transfer and TransferBatch are the only frames sent per message rather than
-// per round, so they skip the Value-tree construction entirely: lengths are
-// computed arithmetically and the TLVs are written straight into the caller's
-// buffer. With the buffer warmed to capacity the encode allocates nothing.
-// The emitted octets are exactly what the tree encoder would produce (same
-// minimal two's-complement INTEGERs, same definite lengths), so the general
-// decoder reads them back unchanged — a property the frame tests pin.
-
-std::size_t int_content_len(std::int64_t v) noexcept {
-  std::size_t n = 1;
-  while (v > 127 || v < -128) {
-    v >>= 8;
-    ++n;
-  }
-  return n;
-}
-
-std::size_t len_octets(std::size_t n) noexcept {
-  if (n < 128) return 1;
-  if (n < 256) return 2;
-  if (n < 65536) return 3;
-  return 4;  // < 2^24 always: bodies are capped by kMaxFrameBytes
-}
-
-/// Octets of a complete low-tag TLV holding `content` content octets.
-std::size_t tlv_len(std::size_t content) noexcept {
-  return 1 + len_octets(content) + content;
-}
-
-std::size_t int_tlv_len(std::int64_t v) noexcept {
-  return tlv_len(int_content_len(v));
-}
-
-void put_header(Bytes& out, std::uint8_t tag, std::size_t content) {
-  out.push_back(tag);
-  if (content < 128) {
-    out.push_back(static_cast<std::uint8_t>(content));
-    return;
-  }
-  const int b = content < 256 ? 1 : content < 65536 ? 2 : 3;
-  out.push_back(static_cast<std::uint8_t>(0x80 | b));
-  for (int i = b; i-- > 0;)
-    out.push_back(static_cast<std::uint8_t>(content >> (8 * i)));
-}
-
-void put_int(Bytes& out, std::int64_t v) {
-  const std::size_t n = int_content_len(v);
-  put_header(out, 0x02, n);  // INTEGER
-  for (std::size_t i = n; i-- > 0;)
-    out.push_back(static_cast<std::uint8_t>(
-        static_cast<std::uint64_t>(v) >> (8 * i)));
-}
-
 bool has_value(const Interaction& msg) { return !(msg.value == Value()); }
-
-/// Content length of the Transfer/batch-entry field list from `first` on
-/// (Transfer inserts the round between dir and sent_at_ns; entries omit it).
-std::size_t msg_fields_len(const Interaction& msg) {
-  std::size_t n = int_tlv_len(msg.kind) + tlv_len(msg.payload.size());
-  if (has_value(msg)) n += tlv_len(asn1::encoded_length(msg.value));
-  return n;
-}
-
-void put_msg_fields(Bytes& out, const Interaction& msg) {
-  put_int(out, msg.kind);
-  put_header(out, 0x04, msg.payload.size());  // OCTET STRING
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
-  if (has_value(msg)) {
-    put_header(out, 0xA0, asn1::encoded_length(msg.value));  // [0] EXPLICIT
-    asn1::encode_to(msg.value, out);
-  }
-}
-
-std::size_t transfer_body_len(const Frame& f) {
-  return int_tlv_len(static_cast<std::int64_t>(f.channel)) +
-         int_tlv_len(f.dir) + int_tlv_len(static_cast<std::int64_t>(f.round)) +
-         int_tlv_len(f.sent_at_ns) + msg_fields_len(f.msg);
-}
-
-std::size_t entry_content_len(const TransferEntry& e) {
-  return int_tlv_len(static_cast<std::int64_t>(e.channel)) +
-         int_tlv_len(e.dir) + int_tlv_len(e.sent_at_ns) +
-         msg_fields_len(e.msg);
-}
-
-std::size_t batch_body_len(const Frame& f, std::size_t* entries_content) {
-  std::size_t entries = 0;
-  for (const TransferEntry& e : f.entries) entries += tlv_len(entry_content_len(e));
-  *entries_content = entries;
-  return int_tlv_len(static_cast<std::int64_t>(f.round)) + tlv_len(entries);
-}
 
 /// The frame body as an ASN.1 value (the catalogue in frame.hpp).
 Value frame_value(const Frame& f) {
@@ -506,56 +413,57 @@ const char* frame_type_name(FrameType t) noexcept {
 
 namespace {
 
-void put_length_prefix(Bytes& out, std::size_t body_len) {
-  out.push_back(static_cast<std::uint8_t>(body_len >> 24));
-  out.push_back(static_cast<std::uint8_t>(body_len >> 16));
-  out.push_back(static_cast<std::uint8_t>(body_len >> 8));
-  out.push_back(static_cast<std::uint8_t>(body_len));
-}
-
 void put_seq(Bytes& out, std::uint64_t seq) {
   for (int i = 8; i-- > 0;)
     out.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
 }
 
+/// The message fields of a Transfer or batch entry: kind, payload and, when
+/// set, the structured value [0] EXPLICIT.
+void put_msg_fields(asn1::Writer& w, const Interaction& msg) {
+  w.integer(msg.kind);
+  w.octets(msg.payload);
+  if (has_value(msg)) w.context(0, [&] { w.value(msg.value); });
+}
+
 /// Shared emitter: `seq == nullptr` gives the plain dialect, otherwise the
 /// sequenced record (length | seq | body). The body octets are identical.
 void emit_frame(const Frame& f, const std::uint64_t* seq, Bytes& out) {
+  const std::size_t prefix = out.size();
+  out.resize(prefix + 4);  // body length, patched below
+  if (seq != nullptr) put_seq(out, *seq);
+  const std::size_t body = out.size();
+  asn1::Writer w(out);
   // The per-message frames go through the direct writer; everything else is
   // per-round or per-run and keeps the simpler Value-tree path.
   if (f.type == FrameType::Transfer) {
-    const std::size_t content = transfer_body_len(f);
-    put_length_prefix(out, tlv_len(content));
-    if (seq != nullptr) put_seq(out, *seq);
-    put_header(out, 0x63, content);  // [APPLICATION 3]
-    put_int(out, static_cast<std::int64_t>(f.channel));
-    put_int(out, f.dir);
-    put_int(out, static_cast<std::int64_t>(f.round));
-    put_int(out, f.sent_at_ns);
-    put_msg_fields(out, f.msg);
-    return;
+    w.constructed(asn1::TagClass::Application, 3, [&] {
+      w.integer(static_cast<std::int64_t>(f.channel));
+      w.integer(f.dir);
+      w.integer(static_cast<std::int64_t>(f.round));
+      w.integer(f.sent_at_ns);
+      put_msg_fields(w, f.msg);
+    });
+  } else if (f.type == FrameType::TransferBatch) {
+    w.constructed(asn1::TagClass::Application, 10, [&] {
+      w.integer(static_cast<std::int64_t>(f.round));
+      w.sequence([&] {
+        for (const TransferEntry& e : f.entries) {
+          w.sequence([&] {
+            w.integer(static_cast<std::int64_t>(e.channel));
+            w.integer(e.dir);
+            w.integer(e.sent_at_ns);
+            put_msg_fields(w, e.msg);
+          });
+        }
+      });
+    });
+  } else {
+    w.value(frame_value(f));
   }
-  if (f.type == FrameType::TransferBatch) {
-    std::size_t entries_content = 0;
-    const std::size_t content = batch_body_len(f, &entries_content);
-    put_length_prefix(out, tlv_len(content));
-    if (seq != nullptr) put_seq(out, *seq);
-    put_header(out, 0x6A, content);  // [APPLICATION 10]
-    put_int(out, static_cast<std::int64_t>(f.round));
-    put_header(out, 0x30, entries_content);  // SEQUENCE OF entry
-    for (const TransferEntry& e : f.entries) {
-      put_header(out, 0x30, entry_content_len(e));
-      put_int(out, static_cast<std::int64_t>(e.channel));
-      put_int(out, e.dir);
-      put_int(out, e.sent_at_ns);
-      put_msg_fields(out, e.msg);
-    }
-    return;
-  }
-  const Value v = frame_value(f);
-  put_length_prefix(out, asn1::encoded_length(v));
-  if (seq != nullptr) put_seq(out, *seq);
-  asn1::encode_to(v, out);
+  const std::size_t len = out.size() - body;
+  for (std::size_t i = 0; i < 4; ++i)
+    out[prefix + i] = static_cast<std::uint8_t>(len >> (8 * (3 - i)));
 }
 
 }  // namespace

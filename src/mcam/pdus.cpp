@@ -1,718 +1,434 @@
 #include "mcam/pdus.hpp"
 
+#include <concepts>
+#include <string_view>
+
 #include "asn1/ber.hpp"
 
 namespace mcam::core {
 
-using asn1::Value;
-using asn1::values;
+using asn1::Reader;
+using asn1::TagClass;
+using asn1::Tlv;
+using asn1::Writer;
+using common::ByteSpan;
 using common::Error;
 using common::Result;
-
-const char* op_name(Op op) noexcept {
-  switch (op) {
-    case Op::AssociateReq: return "AssociateReq";
-    case Op::AssociateResp: return "AssociateResp";
-    case Op::ReleaseReq: return "ReleaseReq";
-    case Op::ReleaseResp: return "ReleaseResp";
-    case Op::MovieCreateReq: return "MovieCreateReq";
-    case Op::MovieCreateResp: return "MovieCreateResp";
-    case Op::MovieDeleteReq: return "MovieDeleteReq";
-    case Op::MovieDeleteResp: return "MovieDeleteResp";
-    case Op::MovieSelectReq: return "MovieSelectReq";
-    case Op::MovieSelectResp: return "MovieSelectResp";
-    case Op::AttrQueryReq: return "AttrQueryReq";
-    case Op::AttrQueryResp: return "AttrQueryResp";
-    case Op::AttrModifyReq: return "AttrModifyReq";
-    case Op::AttrModifyResp: return "AttrModifyResp";
-    case Op::PlayReq: return "PlayReq";
-    case Op::PlayResp: return "PlayResp";
-    case Op::StopReq: return "StopReq";
-    case Op::StopResp: return "StopResp";
-    case Op::PauseReq: return "PauseReq";
-    case Op::PauseResp: return "PauseResp";
-    case Op::ResumeReq: return "ResumeReq";
-    case Op::ResumeResp: return "ResumeResp";
-    case Op::RecordReq: return "RecordReq";
-    case Op::RecordResp: return "RecordResp";
-    case Op::RecordStopReq: return "RecordStopReq";
-    case Op::RecordStopResp: return "RecordStopResp";
-    case Op::EquipListReq: return "EquipListReq";
-    case Op::EquipListResp: return "EquipListResp";
-    case Op::EquipControlReq: return "EquipControlReq";
-    case Op::EquipControlResp: return "EquipControlResp";
-    case Op::MovieSearchReq: return "MovieSearchReq";
-    case Op::MovieSearchResp: return "MovieSearchResp";
-    case Op::PositionInd: return "PositionInd";
-    case Op::ErrorResp: return "ErrorResp";
-  }
-  return "?";
-}
-
-const char* result_name(ResultCode rc) noexcept {
-  switch (rc) {
-    case ResultCode::Success: return "success";
-    case ResultCode::NoSuchMovie: return "no-such-movie";
-    case ResultCode::DuplicateMovie: return "duplicate-movie";
-    case ResultCode::NotSelected: return "not-selected";
-    case ResultCode::AccessDenied: return "access-denied";
-    case ResultCode::BadAttribute: return "bad-attribute";
-    case ResultCode::NoSuchEquipment: return "no-such-equipment";
-    case ResultCode::EquipmentBusy: return "equipment-busy";
-    case ResultCode::ProtocolError: return "protocol-error";
-    case ResultCode::NotPlaying: return "not-playing";
-    case ResultCode::AlreadyPlaying: return "already-playing";
-    case ResultCode::NotAssociated: return "not-associated";
-    case ResultCode::InternalError: return "internal-error";
-  }
-  return "?";
-}
+using directory::Filter;
 
 namespace {
 
-// ---- encode helpers ----
+// The variant lists the PDUs in Op order: alternative i carries Op i + 1,
+// and the two high-tag PDUs close the list.
+constexpr std::size_t kLowOps = 32;
+constexpr auto kFirstHighOp = static_cast<std::uint32_t>(Op::PositionInd);
+static_assert(std::variant_size_v<Pdu> == kLowOps + 2);
+static_assert(std::is_same_v<std::variant_alternative_t<0, Pdu>, AssociateReq>);
+static_assert(std::is_same_v<std::variant_alternative_t<kLowOps - 1, Pdu>,
+                             MovieSearchResp>);
+static_assert(
+    std::is_same_v<std::variant_alternative_t<kLowOps, Pdu>, PositionInd>);
 
-Value enc_attrs(const std::vector<Attr>& attrs) {
-  std::vector<Value> rows;
-  rows.reserve(attrs.size());
-  for (const Attr& a : attrs)
-    rows.push_back(Value::sequence(
-        values(Value::ia5string(a.name), Value::ia5string(a.value))));
-  return Value::sequence(std::move(rows));
-}
-
-Value enc_names(const std::vector<std::string>& names) {
-  std::vector<Value> rows;
-  rows.reserve(names.size());
-  for (const std::string& n : names) rows.push_back(Value::ia5string(n));
-  return Value::sequence(std::move(rows));
-}
-
-Value enc_result(ResultCode rc) {
-  return Value::enumerated(static_cast<int>(rc));
-}
-
-// ---- decode helpers ----
-
-/// Sequential reader over the field list of a decoded PDU body.
-class Fields {
- public:
-  explicit Fields(const Value& pdu) : pdu_(pdu) {}
-
-  Result<std::int64_t> integer() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_int();
-  }
-  Result<std::string> text() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_string();
-  }
-  Result<ResultCode> result_code() {
-    auto v = integer();
-    if (!v.ok()) return v.error();
-    return static_cast<ResultCode>(v.value());
-  }
-  Result<bool> boolean() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_bool();
-  }
-  Result<std::vector<Attr>> attrs() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    std::vector<Attr> out;
-    for (const Value& row : v.value().get().children()) {
-      if (row.size() != 2)
-        return Error::make(kBadPduBody, "attr row arity");
-      auto name = row.child(0).as_string();
-      auto value = row.child(1).as_string();
-      if (!name.ok()) return name.error();
-      if (!value.ok()) return value.error();
-      out.push_back(Attr{name.value(), value.value()});
-    }
-    return out;
-  }
-  Result<std::vector<std::string>> names() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    std::vector<std::string> out;
-    for (const Value& row : v.value().get().children()) {
-      auto s = row.as_string();
-      if (!s.ok()) return s.error();
-      out.push_back(s.value());
-    }
-    return out;
-  }
-
- private:
-  Result<std::reference_wrapper<const Value>> next() {
-    if (index_ >= pdu_.size())
-      return Error::make(kBadPduBody, "missing PDU field");
-    return std::cref(pdu_.child(index_++));
-  }
-  Result<std::reference_wrapper<const Value>> peek_field() {
-    if (index_ >= pdu_.size())
-      return Error::make(kBadPduBody, "missing PDU field");
-    return std::cref(pdu_.child(index_));
-  }
-
-  const Value& pdu_;
-  std::size_t index_ = 0;
-};
-
-template <typename T>
-Result<Pdu> as_pdu(Result<T> r) {
-  if (!r.ok()) return r.error();
-  return Pdu{std::move(r).take()};
+/// Variant index of an operation tag; std::variant_npos when unknown.
+constexpr std::size_t index_of(std::uint32_t tag) noexcept {
+  if (tag >= 1 && tag <= kLowOps) return tag - 1;
+  if (tag >= kFirstHighOp && tag < kFirstHighOp + 2)
+    return kLowOps + (tag - kFirstHighOp);
+  return std::variant_npos;
 }
 
 }  // namespace
 
-asn1::Value encode_filter(const directory::Filter& filter) {
-  using directory::Filter;
-  switch (filter.op()) {
-    case Filter::Op::And:
-    case Filter::Op::Or: {
-      std::vector<Value> kids;
-      kids.reserve(filter.children().size());
-      for (const Filter& c : filter.children())
-        kids.push_back(encode_filter(c));
-      return Value::context(filter.op() == Filter::Op::And ? 0 : 1,
-                            Value::sequence(std::move(kids)));
-    }
-    case Filter::Op::Not:
-      return Value::context(2, encode_filter(filter.children().front()));
-    case Filter::Op::Equal:
-      return Value::context(
-          3, Value::sequence(values(Value::ia5string(filter.attr()),
-                                    Value::ia5string(filter.value()))));
-    case Filter::Op::Substring:
-      return Value::context(
-          4, Value::sequence(values(Value::ia5string(filter.attr()),
-                                    Value::ia5string(filter.value()))));
-    case Filter::Op::Present:
-      return Value::context(5, Value::ia5string(filter.attr()));
-    case Filter::Op::All:
-      return Value::context(6, Value::null());
-  }
-  return Value::context(6, Value::null());
+const char* op_name(Op op) noexcept {
+  static constexpr const char* kNames[] = {
+      "AssociateReq",     "AssociateResp",   "ReleaseReq",
+      "ReleaseResp",      "MovieCreateReq",  "MovieCreateResp",
+      "MovieDeleteReq",   "MovieDeleteResp", "MovieSelectReq",
+      "MovieSelectResp",  "AttrQueryReq",    "AttrQueryResp",
+      "AttrModifyReq",    "AttrModifyResp",  "PlayReq",
+      "PlayResp",         "StopReq",         "StopResp",
+      "PauseReq",         "PauseResp",       "ResumeReq",
+      "ResumeResp",       "RecordReq",       "RecordResp",
+      "RecordStopReq",    "RecordStopResp",  "EquipListReq",
+      "EquipListResp",    "EquipControlReq", "EquipControlResp",
+      "MovieSearchReq",   "MovieSearchResp", "PositionInd",
+      "ErrorResp"};
+  static_assert(std::size(kNames) == std::variant_size_v<Pdu>);
+  const std::size_t i = index_of(static_cast<std::uint32_t>(op));
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
-common::Result<directory::Filter> decode_filter(const asn1::Value& v,
-                                                int depth) {
-  using directory::Filter;
-  if (depth > 32)
-    return Error::make(kBadFilter, "filter nesting too deep");
-  if (v.tag_class() != asn1::TagClass::ContextSpecific || !v.constructed() ||
-      v.size() != 1)
-    return Error::make(kBadFilter, "malformed filter node");
-  const Value& body = v.child(0);
-  switch (v.tag()) {
+const char* result_name(ResultCode rc) noexcept {
+  static constexpr const char* kNames[] = {
+      "success",          "no-such-movie",   "duplicate-movie",
+      "not-selected",     "access-denied",   "bad-attribute",
+      "no-such-equipment", "equipment-busy", "protocol-error",
+      "not-playing",      "already-playing", "not-associated",
+      "internal-error"};
+  const auto i = static_cast<std::size_t>(rc);
+  return i < std::size(kNames) ? kNames[i] : "?";
+}
+
+namespace {
+
+template <typename T, typename... U>
+constexpr bool is_one_of = (std::is_same_v<T, U> || ...);
+
+/// The components of every PDU body and row type, in wire order: the
+/// SEQUENCE components of the MCAM ASN.1 module. Encoding and decoding both
+/// walk this one list. (PlayReq's OPTIONAL QoS tail is handled apart.)
+template <typename P, typename F>
+void fields(P& p, F&& f) {
+  using T = std::remove_const_t<P>;
+  if constexpr (is_one_of<T, ReleaseReq, ReleaseResp>) {
+  } else if constexpr (std::is_same_v<T, Attr>) {
+    f(p.name), f(p.value);
+  } else if constexpr (std::is_same_v<T, AssociateReq>) {
+    f(p.user), f(p.version);
+  } else if constexpr (is_one_of<T, AssociateResp, ErrorResp>) {
+    f(p.result), f(p.diagnostic);
+  } else if constexpr (std::is_same_v<T, MovieCreateReq>) {
+    f(p.title), f(p.attrs);
+  } else if constexpr (is_one_of<T, MovieCreateResp, RecordResp>) {
+    f(p.result), f(p.movie_id);
+  } else if constexpr (is_one_of<T, MovieDeleteReq, StopReq, PauseReq,
+                                 ResumeReq, RecordStopReq>) {
+    f(p.movie_id);
+  } else if constexpr (is_one_of<T, MovieDeleteResp, AttrModifyResp,
+                                 PauseResp, ResumeResp>) {
+    f(p.result);
+  } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
+    f(p.title);
+  } else if constexpr (std::is_same_v<T, MovieSelectResp>) {
+    f(p.result), f(p.movie_id), f(p.attrs);
+  } else if constexpr (std::is_same_v<T, AttrQueryReq>) {
+    f(p.movie_id), f(p.names);
+  } else if constexpr (std::is_same_v<T, AttrQueryResp>) {
+    f(p.result), f(p.attrs);
+  } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
+    f(p.movie_id), f(p.attrs);
+  } else if constexpr (std::is_same_v<T, PlayReq>) {
+    f(p.movie_id), f(p.start_frame), f(p.dest_host), f(p.dest_port);
+  } else if constexpr (std::is_same_v<T, PlayResp>) {
+    f(p.result), f(p.stream_id);
+  } else if constexpr (std::is_same_v<T, StopResp>) {
+    f(p.result), f(p.position);
+  } else if constexpr (std::is_same_v<T, RecordReq>) {
+    f(p.title), f(p.equipment_id), f(p.attrs);
+  } else if constexpr (std::is_same_v<T, RecordStopResp>) {
+    f(p.result), f(p.frames);
+  } else if constexpr (std::is_same_v<T, EquipListReq>) {
+    f(p.kind);
+  } else if constexpr (std::is_same_v<T, EquipItem>) {
+    f(p.id), f(p.kind), f(p.name), f(p.powered), f(p.reserved_by);
+  } else if constexpr (std::is_same_v<T, EquipListResp>) {
+    f(p.result), f(p.items);
+  } else if constexpr (std::is_same_v<T, EquipControlReq>) {
+    f(p.equipment_id), f(p.command), f(p.param), f(p.value);
+  } else if constexpr (std::is_same_v<T, EquipControlResp>) {
+    f(p.result), f(p.powered), f(p.value), f(p.reserved_by);
+  } else if constexpr (std::is_same_v<T, MovieSearchReq>) {
+    f(p.filter), f(p.chained);
+  } else if constexpr (std::is_same_v<T, MovieSearchResp>) {
+    f(p.result), f(p.hits);
+  } else if constexpr (std::is_same_v<T, SearchHit>) {
+    f(p.movie_id), f(p.attrs);
+  } else {
+    static_assert(std::is_same_v<T, PositionInd>);
+    f(p.movie_id), f(p.frame);
+  }
+}
+
+/// Number of components of a row type (the SEQUENCE arity a decoder checks).
+template <typename Row>
+std::size_t arity() {
+  static const std::size_t n = [] {
+    Row r{};
+    std::size_t k = 0;
+    fields(r, [&](auto&) { ++k; });
+    return k;
+  }();
+  return n;
+}
+
+// ---- encode ----
+
+void put_field(Writer& w, const std::string& s) { w.string(s); }
+void put_field(Writer& w, bool b) { w.boolean(b); }
+void put_field(Writer& w, ResultCode rc) {
+  w.integer(static_cast<int>(rc), asn1::UniversalTag::Enumerated);
+}
+template <std::integral I>
+void put_field(Writer& w, I v) {
+  w.integer(static_cast<std::int64_t>(v));
+}
+
+/// Filter CHOICE: [0] and, [1] or, [2] not, [3] equality, [4] substring,
+/// [5] present, [6] all.
+void put_field(Writer& w, const Filter& f) {
+  using F = Filter::Op;
+  switch (f.op()) {
+    case F::And:
+    case F::Or:
+      return w.context(f.op() == F::And ? 0 : 1, [&] {
+        w.sequence([&] {
+          for (const Filter& c : f.children()) put_field(w, c);
+        });
+      });
+    case F::Not:
+      return w.context(2, [&] { put_field(w, f.children().front()); });
+    case F::Equal:
+    case F::Substring:
+      return w.context(f.op() == F::Equal ? 3 : 4, [&] {
+        w.sequence([&] { w.string(f.attr()), w.string(f.value()); });
+      });
+    case F::Present:
+      return w.context(5, [&] { w.string(f.attr()); });
+    case F::All:
+      break;
+  }
+  w.context(6, [&] { w.null(); });
+}
+
+/// SEQUENCE OF IA5String, or SEQUENCE OF SEQUENCE { row components }.
+template <typename Row>
+void put_field(Writer& w, const std::vector<Row>& rows) {
+  w.sequence([&] {
+    for (const Row& r : rows) {
+      if constexpr (std::is_same_v<Row, std::string>)
+        put_field(w, r);
+      else
+        w.sequence([&] { fields(r, [&](const auto& x) { put_field(w, x); }); });
+    }
+  });
+}
+
+void write_pdu(Writer& w, const Pdu& pdu) {
+  std::visit(
+      [&](const auto& p) {
+        w.constructed(TagClass::Application,
+                      static_cast<std::uint32_t>(op_of(pdu)), [&] {
+          fields(p, [&](const auto& x) { put_field(w, x); });
+          if constexpr (std::is_same_v<std::decay_t<decltype(p)>, PlayReq>) {
+            // §6 QoS extension: OPTIONAL context-tagged fields.
+            if (p.qos_max_delay_ms != 0)
+              w.context(0, [&] { w.integer(p.qos_max_delay_ms); });
+            if (p.qos_max_jitter_ms != 0)
+              w.context(1, [&] { w.integer(p.qos_max_jitter_ms); });
+          }
+        });
+      },
+      pdu);
+}
+
+// ---- decode ----
+// A decode step returns 0, an asn1::Asn1Error or a McamCodecError; the
+// input was checked as a whole by asn1::read_one before any field is read.
+
+using Code = int;
+
+Error error(Code code) {
+  switch (code) {
+    case kUnknownOp: return Error::make(code, "not an MCAM PDU");
+    case kBadPduBody: return Error::make(code, "malformed MCAM PDU body");
+    case kBadFilter: return Error::make(code, "malformed directory filter");
+  }
+  return asn1::to_error(static_cast<asn1::Asn1Error>(code));
+}
+
+Code get_field(const Tlv& t, std::string& x) {
+  std::string_view s;
+  if (Code e = t.text(s)) return e;
+  x.assign(s);
+  return 0;
+}
+Code get_field(const Tlv& t, bool& x) { return t.boolean(x); }
+template <typename I>
+  requires std::integral<I> || std::is_enum_v<I>
+Code get_field(const Tlv& t, I& x) {
+  std::int64_t v = 0;
+  if (Code e = t.integer(v)) return e;
+  x = static_cast<I>(v);
+  return 0;
+}
+
+template <typename P>
+Code get_fields(Reader& in, P& p);
+template <typename Row>
+Code get_field(const Tlv& t, std::vector<Row>& rows);
+
+Code get_filter(const Tlv& v, Filter& out, int depth) {
+  if (depth > 32) return kBadFilter;  // nesting bomb
+  Tlv body;
+  if (v.cls != TagClass::ContextSpecific || !v.unwrap(body)) return kBadFilter;
+  switch (v.tag) {
     case 0:
     case 1: {
       std::vector<Filter> kids;
-      for (const Value& c : body.children()) {
-        auto k = decode_filter(c, depth + 1);
-        if (!k.ok()) return k.error();
-        kids.push_back(std::move(k).take());
+      Tlv t;
+      for (Reader k = body.enter(); !k.empty();) {
+        Filter kid;
+        if (Code e = k.next(t)) return e;
+        if (Code e = get_filter(t, kid, depth + 1)) return e;
+        kids.push_back(std::move(kid));
       }
-      return v.tag() == 0 ? Filter::and_(std::move(kids))
-                          : Filter::or_(std::move(kids));
+      out = v.tag == 0 ? Filter::and_(std::move(kids))
+                       : Filter::or_(std::move(kids));
+      return 0;
     }
     case 2: {
-      auto inner = decode_filter(body, depth + 1);
-      if (!inner.ok()) return inner.error();
-      return Filter::not_(std::move(inner).take());
+      Filter inner;
+      if (Code e = get_filter(body, inner, depth + 1)) return e;
+      out = Filter::not_(std::move(inner));
+      return 0;
     }
     case 3:
-    case 4: {
-      if (body.size() != 2)
-        return Error::make(kBadFilter, "match filter arity");
-      auto attr = body.child(0).as_string();
-      auto value = body.child(1).as_string();
-      if (!attr.ok()) return attr.error();
-      if (!value.ok()) return value.error();
-      return v.tag() == 3 ? Filter::equal(attr.value(), value.value())
-                          : Filter::substring(attr.value(), value.value());
+    case 4: {  // SEQUENCE { attr, value }: the shape of an Attr row
+      Reader m = body.enter();
+      Attr match;
+      if (m.count() != 2) return kBadFilter;
+      if (Code e = get_fields(m, match)) return e;
+      out = v.tag == 3 ? Filter::equal(match.name, match.value)
+                       : Filter::substring(match.name, match.value);
+      return 0;
     }
     case 5: {
-      auto attr = body.as_string();
-      if (!attr.ok()) return attr.error();
-      return Filter::present(attr.value());
+      std::string_view attr;
+      if (Code e = body.text(attr)) return e;
+      out = Filter::present(std::string(attr));
+      return 0;
     }
     case 6:
-      return Filter::all();
-    default:
-      return Error::make(kBadFilter, "unknown filter tag");
+      out = Filter::all();
+      return 0;
   }
+  return kBadFilter;
 }
 
+Code get_field(const Tlv& t, Filter& x) { return get_filter(t, x, 0); }
+
+/// The components of `p`, in order, from the siblings left in `in`; a
+/// missing one is kBadPduBody, extra ones are ignored.
+template <typename P>
+Code get_fields(Reader& in, P& p) {
+  Code code = 0;
+  fields(p, [&](auto& x) {
+    Tlv t;
+    if (code != 0) return;
+    if (in.empty())
+      code = kBadPduBody;
+    else if (Code e = in.next(t))
+      code = e;
+    else
+      code = get_field(t, x);
+  });
+  return code;
+}
+
+/// A primitive list field reads as empty; a row must have exactly its
+/// components (kBadPduBody), and an equipment item reports any defect as
+/// kBadPduBody.
+template <typename Row>
+Code get_field(const Tlv& t, std::vector<Row>& rows) {
+  Reader in = t.enter();
+  rows.reserve(in.count());
+  Tlv row;
+  while (!in.empty()) {
+    if (Code e = in.next(row)) return e;
+    Row r{};
+    if constexpr (std::is_same_v<Row, std::string>) {
+      if (Code e = get_field(row, r)) return e;
+    } else {
+      Reader cols = row.enter();
+      const Code e =
+          cols.count() != arity<Row>() ? kBadPduBody : get_fields(cols, r);
+      if (e != 0) return std::is_same_v<Row, EquipItem> ? kBadPduBody : e;
+    }
+    rows.push_back(std::move(r));
+  }
+  return 0;
+}
+
+/// §6 QoS extension: the first [tag] component anywhere in the body counts
+/// when it wraps exactly one INTEGER; otherwise the bound is 0.
+std::uint32_t get_qos(const Tlv& body, std::uint32_t tag) {
+  Tlv wrapper, v;
+  return body.find_context(tag, wrapper) && wrapper.unwrap(v)
+             ? static_cast<std::uint32_t>(v.integer_or(0))
+             : 0;
+}
+
+template <typename P>
+Result<Pdu> decode_body(const Tlv& pdu) {
+  P p{};
+  Reader in = pdu.enter();
+  // A search request's arity is checked before its filter is read.
+  const Code code = std::is_same_v<P, MovieSearchReq> && in.count() < 2
+                        ? kBadPduBody
+                        : get_fields(in, p);
+  if (code != 0) return error(code);
+  if constexpr (std::is_same_v<P, PlayReq>) {
+    p.qos_max_delay_ms = get_qos(pdu, 0);
+    p.qos_max_jitter_ms = get_qos(pdu, 1);
+  }
+  return Pdu{std::move(p)};
+}
+
+template <std::size_t... I>
+Result<Pdu> decode_alternative(std::size_t index, const Tlv& pdu,
+                               std::index_sequence<I...>) {
+  using Decoder = Result<Pdu> (*)(const Tlv&);
+  static constexpr Decoder kDecoders[] = {
+      &decode_body<std::variant_alternative_t<I, Pdu>>...};
+  return kDecoders[index](pdu);
+}
+
+}  // namespace
+
 Op op_of(const Pdu& pdu) noexcept {
-  return std::visit(
-      [](const auto& p) -> Op {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, AssociateReq>) return Op::AssociateReq;
-        else if constexpr (std::is_same_v<T, AssociateResp>) return Op::AssociateResp;
-        else if constexpr (std::is_same_v<T, ReleaseReq>) return Op::ReleaseReq;
-        else if constexpr (std::is_same_v<T, ReleaseResp>) return Op::ReleaseResp;
-        else if constexpr (std::is_same_v<T, MovieCreateReq>) return Op::MovieCreateReq;
-        else if constexpr (std::is_same_v<T, MovieCreateResp>) return Op::MovieCreateResp;
-        else if constexpr (std::is_same_v<T, MovieDeleteReq>) return Op::MovieDeleteReq;
-        else if constexpr (std::is_same_v<T, MovieDeleteResp>) return Op::MovieDeleteResp;
-        else if constexpr (std::is_same_v<T, MovieSelectReq>) return Op::MovieSelectReq;
-        else if constexpr (std::is_same_v<T, MovieSelectResp>) return Op::MovieSelectResp;
-        else if constexpr (std::is_same_v<T, AttrQueryReq>) return Op::AttrQueryReq;
-        else if constexpr (std::is_same_v<T, AttrQueryResp>) return Op::AttrQueryResp;
-        else if constexpr (std::is_same_v<T, AttrModifyReq>) return Op::AttrModifyReq;
-        else if constexpr (std::is_same_v<T, AttrModifyResp>) return Op::AttrModifyResp;
-        else if constexpr (std::is_same_v<T, PlayReq>) return Op::PlayReq;
-        else if constexpr (std::is_same_v<T, PlayResp>) return Op::PlayResp;
-        else if constexpr (std::is_same_v<T, StopReq>) return Op::StopReq;
-        else if constexpr (std::is_same_v<T, StopResp>) return Op::StopResp;
-        else if constexpr (std::is_same_v<T, PauseReq>) return Op::PauseReq;
-        else if constexpr (std::is_same_v<T, PauseResp>) return Op::PauseResp;
-        else if constexpr (std::is_same_v<T, ResumeReq>) return Op::ResumeReq;
-        else if constexpr (std::is_same_v<T, ResumeResp>) return Op::ResumeResp;
-        else if constexpr (std::is_same_v<T, RecordReq>) return Op::RecordReq;
-        else if constexpr (std::is_same_v<T, RecordResp>) return Op::RecordResp;
-        else if constexpr (std::is_same_v<T, RecordStopReq>) return Op::RecordStopReq;
-        else if constexpr (std::is_same_v<T, RecordStopResp>) return Op::RecordStopResp;
-        else if constexpr (std::is_same_v<T, EquipListReq>) return Op::EquipListReq;
-        else if constexpr (std::is_same_v<T, EquipListResp>) return Op::EquipListResp;
-        else if constexpr (std::is_same_v<T, EquipControlReq>) return Op::EquipControlReq;
-        else if constexpr (std::is_same_v<T, EquipControlResp>) return Op::EquipControlResp;
-        else if constexpr (std::is_same_v<T, MovieSearchReq>) return Op::MovieSearchReq;
-        else if constexpr (std::is_same_v<T, MovieSearchResp>) return Op::MovieSearchResp;
-        else if constexpr (std::is_same_v<T, PositionInd>) return Op::PositionInd;
-        else return Op::ErrorResp;
-      },
-      pdu);
+  const std::size_t i = pdu.index();
+  return static_cast<Op>(i < kLowOps ? i + 1 : kFirstHighOp + (i - kLowOps));
 }
 
 Bytes encode(const Pdu& pdu) {
-  const Op op = op_of(pdu);
-  std::vector<Value> fields = std::visit(
-      [](const auto& p) -> std::vector<Value> {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, AssociateReq>) {
-          return values(Value::ia5string(p.user), Value::integer(p.version));
-        } else if constexpr (std::is_same_v<T, AssociateResp>) {
-          return values(enc_result(p.result), Value::ia5string(p.diagnostic));
-        } else if constexpr (std::is_same_v<T, ReleaseReq> ||
-                             std::is_same_v<T, ReleaseResp>) {
-          return values();
-        } else if constexpr (std::is_same_v<T, MovieCreateReq>) {
-          return values(Value::ia5string(p.title), enc_attrs(p.attrs));
-        } else if constexpr (std::is_same_v<T, MovieCreateResp>) {
-          return values(enc_result(p.result),
-                        Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, MovieDeleteReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, MovieDeleteResp>) {
-          return values(enc_result(p.result));
-        } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
-          return values(Value::ia5string(p.title));
-        } else if constexpr (std::is_same_v<T, MovieSelectResp>) {
-          return values(enc_result(p.result),
-                        Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                        enc_attrs(p.attrs));
-        } else if constexpr (std::is_same_v<T, AttrQueryReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                        enc_names(p.names));
-        } else if constexpr (std::is_same_v<T, AttrQueryResp>) {
-          return values(enc_result(p.result), enc_attrs(p.attrs));
-        } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                        enc_attrs(p.attrs));
-        } else if constexpr (std::is_same_v<T, AttrModifyResp>) {
-          return values(enc_result(p.result));
-        } else if constexpr (std::is_same_v<T, PlayReq>) {
-          std::vector<Value> fields =
-              values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                     Value::integer(static_cast<std::int64_t>(p.start_frame)),
-                     Value::ia5string(p.dest_host),
-                     Value::integer(p.dest_port));
-          // §6 QoS extension: OPTIONAL context-tagged fields.
-          if (p.qos_max_delay_ms != 0)
-            fields.push_back(Value::context(0, Value::integer(p.qos_max_delay_ms)));
-          if (p.qos_max_jitter_ms != 0)
-            fields.push_back(
-                Value::context(1, Value::integer(p.qos_max_jitter_ms)));
-          return fields;
-        } else if constexpr (std::is_same_v<T, PlayResp>) {
-          return values(enc_result(p.result), Value::integer(p.stream_id));
-        } else if constexpr (std::is_same_v<T, StopReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, StopResp>) {
-          return values(enc_result(p.result),
-                        Value::integer(static_cast<std::int64_t>(p.position)));
-        } else if constexpr (std::is_same_v<T, PauseReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, PauseResp>) {
-          return values(enc_result(p.result));
-        } else if constexpr (std::is_same_v<T, ResumeReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, ResumeResp>) {
-          return values(enc_result(p.result));
-        } else if constexpr (std::is_same_v<T, RecordReq>) {
-          return values(Value::ia5string(p.title),
-                        Value::integer(p.equipment_id), enc_attrs(p.attrs));
-        } else if constexpr (std::is_same_v<T, RecordResp>) {
-          return values(enc_result(p.result),
-                        Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, RecordStopReq>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)));
-        } else if constexpr (std::is_same_v<T, RecordStopResp>) {
-          return values(enc_result(p.result),
-                        Value::integer(static_cast<std::int64_t>(p.frames)));
-        } else if constexpr (std::is_same_v<T, EquipListReq>) {
-          return values(Value::integer(p.kind));
-        } else if constexpr (std::is_same_v<T, EquipListResp>) {
-          std::vector<Value> rows;
-          rows.reserve(p.items.size());
-          for (const EquipItem& item : p.items)
-            rows.push_back(Value::sequence(
-                values(Value::integer(item.id), Value::integer(item.kind),
-                       Value::ia5string(item.name),
-                       Value::boolean(item.powered),
-                       Value::ia5string(item.reserved_by))));
-          return values(enc_result(p.result), Value::sequence(std::move(rows)));
-        } else if constexpr (std::is_same_v<T, EquipControlReq>) {
-          return values(Value::integer(p.equipment_id),
-                        Value::integer(p.command), Value::ia5string(p.param),
-                        Value::integer(p.value));
-        } else if constexpr (std::is_same_v<T, EquipControlResp>) {
-          return values(enc_result(p.result), Value::boolean(p.powered),
-                        Value::integer(p.value),
-                        Value::ia5string(p.reserved_by));
-        } else if constexpr (std::is_same_v<T, MovieSearchReq>) {
-          return values(encode_filter(p.filter), Value::boolean(p.chained));
-        } else if constexpr (std::is_same_v<T, MovieSearchResp>) {
-          std::vector<Value> hits;
-          hits.reserve(p.hits.size());
-          for (const SearchHit& hit : p.hits)
-            hits.push_back(Value::sequence(
-                values(Value::integer(static_cast<std::int64_t>(hit.movie_id)),
-                       enc_attrs(hit.attrs))));
-          return values(enc_result(p.result), Value::sequence(std::move(hits)));
-        } else if constexpr (std::is_same_v<T, PositionInd>) {
-          return values(Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                        Value::integer(static_cast<std::int64_t>(p.frame)));
-        } else {  // ErrorResp
-          return values(enc_result(p.result), Value::ia5string(p.diagnostic));
-        }
-      },
-      pdu);
-  return asn1::encode(
-      Value::application(static_cast<std::uint32_t>(op), std::move(fields)));
+  return asn1::encode_with([&](Writer& w) { write_pdu(w, pdu); });
 }
 
-common::Result<Op> peek_op(common::ByteSpan raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  if (decoded.value().tag_class() != asn1::TagClass::Application)
-    return Error::make(kUnknownOp, "not an MCAM PDU");
-  return static_cast<Op>(decoded.value().tag());
+void encode_to(const Pdu& pdu, Bytes& out) {
+  Writer w(out);
+  write_pdu(w, pdu);
 }
 
-common::Result<Pdu> decode(common::ByteSpan raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& v = decoded.value();
-  if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
-    return Error::make(kUnknownOp, "not an MCAM PDU: " + v.to_string());
+common::Result<Op> peek_op(ByteSpan raw) {
+  Tlv pdu;
+  if (asn1::Asn1Error e = asn1::read_one(raw, pdu)) return asn1::to_error(e);
+  if (pdu.cls != TagClass::Application) return error(kUnknownOp);
+  return static_cast<Op>(pdu.tag);
+}
 
-  Fields f(v);
-  switch (static_cast<Op>(v.tag())) {
-    case Op::AssociateReq: {
-      auto user = f.text();
-      auto version = f.integer();
-      if (!user.ok()) return user.error();
-      if (!version.ok()) return version.error();
-      return Pdu{AssociateReq{user.value(), static_cast<int>(version.value())}};
-    }
-    case Op::AssociateResp: {
-      auto rc = f.result_code();
-      auto diag = f.text();
-      if (!rc.ok()) return rc.error();
-      if (!diag.ok()) return diag.error();
-      return Pdu{AssociateResp{rc.value(), diag.value()}};
-    }
-    case Op::ReleaseReq:
-      return Pdu{ReleaseReq{}};
-    case Op::ReleaseResp:
-      return Pdu{ReleaseResp{}};
-    case Op::MovieCreateReq: {
-      auto title = f.text();
-      auto attrs = f.attrs();
-      if (!title.ok()) return title.error();
-      if (!attrs.ok()) return attrs.error();
-      return Pdu{MovieCreateReq{title.value(), attrs.value()}};
-    }
-    case Op::MovieCreateResp: {
-      auto rc = f.result_code();
-      auto id = f.integer();
-      if (!rc.ok()) return rc.error();
-      if (!id.ok()) return id.error();
-      return Pdu{MovieCreateResp{rc.value(),
-                                 static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::MovieDeleteReq: {
-      auto id = f.integer();
-      if (!id.ok()) return id.error();
-      return Pdu{MovieDeleteReq{static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::MovieDeleteResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      return Pdu{MovieDeleteResp{rc.value()}};
-    }
-    case Op::MovieSelectReq: {
-      auto title = f.text();
-      if (!title.ok()) return title.error();
-      return Pdu{MovieSelectReq{title.value()}};
-    }
-    case Op::MovieSelectResp: {
-      auto rc = f.result_code();
-      auto id = f.integer();
-      auto attrs = f.attrs();
-      if (!rc.ok()) return rc.error();
-      if (!id.ok()) return id.error();
-      if (!attrs.ok()) return attrs.error();
-      return Pdu{MovieSelectResp{rc.value(),
-                                 static_cast<std::uint64_t>(id.value()),
-                                 attrs.value()}};
-    }
-    case Op::AttrQueryReq: {
-      auto id = f.integer();
-      auto names = f.names();
-      if (!id.ok()) return id.error();
-      if (!names.ok()) return names.error();
-      return Pdu{AttrQueryReq{static_cast<std::uint64_t>(id.value()),
-                              names.value()}};
-    }
-    case Op::AttrQueryResp: {
-      auto rc = f.result_code();
-      auto attrs = f.attrs();
-      if (!rc.ok()) return rc.error();
-      if (!attrs.ok()) return attrs.error();
-      return Pdu{AttrQueryResp{rc.value(), attrs.value()}};
-    }
-    case Op::AttrModifyReq: {
-      auto id = f.integer();
-      auto attrs = f.attrs();
-      if (!id.ok()) return id.error();
-      if (!attrs.ok()) return attrs.error();
-      return Pdu{AttrModifyReq{static_cast<std::uint64_t>(id.value()),
-                               attrs.value()}};
-    }
-    case Op::AttrModifyResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      return Pdu{AttrModifyResp{rc.value()}};
-    }
-    case Op::PlayReq: {
-      auto id = f.integer();
-      auto start = f.integer();
-      auto host = f.text();
-      auto port = f.integer();
-      if (!id.ok()) return id.error();
-      if (!start.ok()) return start.error();
-      if (!host.ok()) return host.error();
-      if (!port.ok()) return port.error();
-      PlayReq req{static_cast<std::uint64_t>(id.value()),
-                  static_cast<std::uint64_t>(start.value()), host.value(),
-                  static_cast<std::uint16_t>(port.value()), 0, 0};
-      if (const Value* qd = v.find_context(0); qd && qd->size() == 1)
-        req.qos_max_delay_ms = static_cast<std::uint32_t>(
-            qd->child(0).as_int().value_or(0));
-      if (const Value* qj = v.find_context(1); qj && qj->size() == 1)
-        req.qos_max_jitter_ms = static_cast<std::uint32_t>(
-            qj->child(0).as_int().value_or(0));
-      return Pdu{req};
-    }
-    case Op::PlayResp: {
-      auto rc = f.result_code();
-      auto stream = f.integer();
-      if (!rc.ok()) return rc.error();
-      if (!stream.ok()) return stream.error();
-      return Pdu{PlayResp{rc.value(),
-                          static_cast<std::uint16_t>(stream.value())}};
-    }
-    case Op::StopReq: {
-      auto id = f.integer();
-      if (!id.ok()) return id.error();
-      return Pdu{StopReq{static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::StopResp: {
-      auto rc = f.result_code();
-      auto pos = f.integer();
-      if (!rc.ok()) return rc.error();
-      if (!pos.ok()) return pos.error();
-      return Pdu{StopResp{rc.value(), static_cast<std::uint64_t>(pos.value())}};
-    }
-    case Op::PauseReq: {
-      auto id = f.integer();
-      if (!id.ok()) return id.error();
-      return Pdu{PauseReq{static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::PauseResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      return Pdu{PauseResp{rc.value()}};
-    }
-    case Op::ResumeReq: {
-      auto id = f.integer();
-      if (!id.ok()) return id.error();
-      return Pdu{ResumeReq{static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::ResumeResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      return Pdu{ResumeResp{rc.value()}};
-    }
-    case Op::RecordReq: {
-      auto title = f.text();
-      auto equip = f.integer();
-      auto attrs = f.attrs();
-      if (!title.ok()) return title.error();
-      if (!equip.ok()) return equip.error();
-      if (!attrs.ok()) return attrs.error();
-      return Pdu{RecordReq{title.value(),
-                           static_cast<std::uint32_t>(equip.value()),
-                           attrs.value()}};
-    }
-    case Op::RecordResp: {
-      auto rc = f.result_code();
-      auto id = f.integer();
-      if (!rc.ok()) return rc.error();
-      if (!id.ok()) return id.error();
-      return Pdu{RecordResp{rc.value(),
-                            static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::RecordStopReq: {
-      auto id = f.integer();
-      if (!id.ok()) return id.error();
-      return Pdu{RecordStopReq{static_cast<std::uint64_t>(id.value())}};
-    }
-    case Op::RecordStopResp: {
-      auto rc = f.result_code();
-      auto frames = f.integer();
-      if (!rc.ok()) return rc.error();
-      if (!frames.ok()) return frames.error();
-      return Pdu{RecordStopResp{rc.value(),
-                                static_cast<std::uint64_t>(frames.value())}};
-    }
-    case Op::EquipListReq: {
-      auto kind = f.integer();
-      if (!kind.ok()) return kind.error();
-      return Pdu{EquipListReq{static_cast<int>(kind.value())}};
-    }
-    case Op::EquipListResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      if (v.size() < 2) return Error::make(kBadPduBody, "missing item list");
-      EquipListResp resp;
-      resp.result = rc.value();
-      for (const Value& row : v.child(1).children()) {
-        if (row.size() != 5) return Error::make(kBadPduBody, "item arity");
-        EquipItem item;
-        auto id = row.child(0).as_int();
-        auto kind = row.child(1).as_int();
-        auto name = row.child(2).as_string();
-        auto powered = row.child(3).as_bool();
-        auto reserved = row.child(4).as_string();
-        if (!id.ok() || !kind.ok() || !name.ok() || !powered.ok() ||
-            !reserved.ok())
-          return Error::make(kBadPduBody, "bad equipment item");
-        item.id = static_cast<std::uint32_t>(id.value());
-        item.kind = static_cast<int>(kind.value());
-        item.name = name.value();
-        item.powered = powered.value();
-        item.reserved_by = reserved.value();
-        resp.items.push_back(std::move(item));
-      }
-      return Pdu{std::move(resp)};
-    }
-    case Op::EquipControlReq: {
-      auto id = f.integer();
-      auto cmd = f.integer();
-      auto param = f.text();
-      auto value = f.integer();
-      if (!id.ok()) return id.error();
-      if (!cmd.ok()) return cmd.error();
-      if (!param.ok()) return param.error();
-      if (!value.ok()) return value.error();
-      return Pdu{EquipControlReq{static_cast<std::uint32_t>(id.value()),
-                                 static_cast<int>(cmd.value()), param.value(),
-                                 static_cast<int>(value.value())}};
-    }
-    case Op::EquipControlResp: {
-      auto rc = f.result_code();
-      auto powered = f.boolean();
-      auto value = f.integer();
-      auto reserved = f.text();
-      if (!rc.ok()) return rc.error();
-      if (!powered.ok()) return powered.error();
-      if (!value.ok()) return value.error();
-      if (!reserved.ok()) return reserved.error();
-      return Pdu{EquipControlResp{rc.value(), powered.value(),
-                                  static_cast<int>(value.value()),
-                                  reserved.value()}};
-    }
-    case Op::MovieSearchReq: {
-      if (v.size() < 2) return Error::make(kBadPduBody, "short search req");
-      auto filter = decode_filter(v.child(0));
-      if (!filter.ok()) return filter.error();
-      auto chained = v.child(1).as_bool();
-      if (!chained.ok()) return chained.error();
-      return Pdu{MovieSearchReq{std::move(filter).take(), chained.value()}};
-    }
-    case Op::MovieSearchResp: {
-      auto rc = f.result_code();
-      if (!rc.ok()) return rc.error();
-      if (v.size() < 2) return Error::make(kBadPduBody, "short search resp");
-      MovieSearchResp resp;
-      resp.result = rc.value();
-      for (const Value& row : v.child(1).children()) {
-        if (row.size() != 2) return Error::make(kBadPduBody, "hit arity");
-        auto id = row.child(0).as_int();
-        if (!id.ok()) return id.error();
-        SearchHit hit;
-        hit.movie_id = static_cast<std::uint64_t>(id.value());
-        for (const Value& attr_row : row.child(1).children()) {
-          if (attr_row.size() != 2)
-            return Error::make(kBadPduBody, "hit attr arity");
-          auto name = attr_row.child(0).as_string();
-          auto value = attr_row.child(1).as_string();
-          if (!name.ok()) return name.error();
-          if (!value.ok()) return value.error();
-          hit.attrs.push_back(Attr{name.value(), value.value()});
-        }
-        resp.hits.push_back(std::move(hit));
-      }
-      return Pdu{std::move(resp)};
-    }
-    case Op::PositionInd: {
-      auto id = f.integer();
-      auto frame = f.integer();
-      if (!id.ok()) return id.error();
-      if (!frame.ok()) return frame.error();
-      return Pdu{PositionInd{static_cast<std::uint64_t>(id.value()),
-                             static_cast<std::uint64_t>(frame.value())}};
-    }
-    case Op::ErrorResp: {
-      auto rc = f.result_code();
-      auto diag = f.text();
-      if (!rc.ok()) return rc.error();
-      if (!diag.ok()) return diag.error();
-      return Pdu{ErrorResp{rc.value(), diag.value()}};
-    }
-  }
-  return Error::make(kUnknownOp,
-                     "unknown MCAM operation tag " + std::to_string(v.tag()));
+common::Result<Pdu> decode(ByteSpan raw) {
+  Tlv pdu;
+  if (asn1::Asn1Error e = asn1::read_one(raw, pdu)) return asn1::to_error(e);
+  if (pdu.cls != TagClass::Application || !pdu.constructed)
+    return error(kUnknownOp);
+  const std::size_t index = index_of(pdu.tag);
+  if (index == std::variant_npos)
+    return Error::make(kUnknownOp, "unknown MCAM operation tag " +
+                                       std::to_string(pdu.tag));
+  return decode_alternative(index, pdu,
+                            std::make_index_sequence<kLowOps + 2>{});
+}
+
+Bytes encode_filter(const Filter& filter) {
+  return asn1::encode_with([&](Writer& w) { put_field(w, filter); });
+}
+
+common::Result<Filter> decode_filter(ByteSpan raw) {
+  Tlv t;
+  if (asn1::Asn1Error e = asn1::read_one(raw, t)) return asn1::to_error(e);
+  Filter f;
+  if (Code e = get_filter(t, f, 0)) return error(e);
+  return f;
 }
 
 }  // namespace mcam::core

@@ -3,8 +3,9 @@
 // "All MCAM PDUs are specified in ASN.1 ... used to generate C++ data
 // structures and to create encoding and decoding routines automatically"
 // (§4.2, [9]). This header is the equivalent of that generated code: one C++
-// struct per PDU, a variant over all of them, and BER encode/decode built on
-// src/asn1. On the wire every PDU is
+// struct per PDU, a variant over all of them, and BER encode/decode that go
+// straight between the structs and the wire over the asn1 cursor and writer
+// (no intermediate value tree). On the wire every PDU is
 //
 //   [APPLICATION op] IMPLICIT SEQUENCE { ...fields... }
 //
@@ -19,7 +20,6 @@
 #include <variant>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "directory/directory.hpp"
@@ -311,11 +311,19 @@ using Pdu = std::variant<
 /// Encode to BER (the generated "encoding routine").
 [[nodiscard]] Bytes encode(const Pdu& pdu);
 
+/// Append the encoding of `pdu` to `out`; allocates nothing once `out` has
+/// the capacity.
+void encode_to(const Pdu& pdu, Bytes& out);
+
 /// Decode from BER. Unknown tags and malformed bodies yield errors, never
-/// exceptions: peer input is untrusted.
+/// exceptions: peer input is untrusted. The whole input must be well-formed
+/// BER, even the parts no field reads; components past the last known one
+/// are ignored.
 [[nodiscard]] common::Result<Pdu> decode(common::ByteSpan raw);
 
-/// Cheap operation peek: decodes only the outer tag.
+/// Cheap operation peek: checks that `raw` is one well-formed BER value with
+/// an APPLICATION tag and returns the tag, without decoding any field.
+/// Allocates nothing on success.
 [[nodiscard]] common::Result<Op> peek_op(common::ByteSpan raw);
 
 enum McamCodecError : int {
@@ -327,8 +335,8 @@ enum McamCodecError : int {
 /// Wire form of a directory filter (CHOICE via context tags: [0] and,
 /// [1] or, [2] not, [3] equality, [4] substring, [5] present, [6] all).
 /// Exposed for tests and for any future standalone directory protocol.
-[[nodiscard]] asn1::Value encode_filter(const directory::Filter& filter);
+[[nodiscard]] Bytes encode_filter(const directory::Filter& filter);
 [[nodiscard]] common::Result<directory::Filter> decode_filter(
-    const asn1::Value& v, int depth = 0);
+    common::ByteSpan raw);
 
 }  // namespace mcam::core

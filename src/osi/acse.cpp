@@ -4,8 +4,10 @@
 
 namespace mcam::osi {
 
-using asn1::Value;
-using asn1::values;
+using asn1::Reader;
+using asn1::Tlv;
+using asn1::Writer;
+using common::ByteSpan;
 using common::Bytes;
 using common::Error;
 using common::Result;
@@ -20,90 +22,106 @@ constexpr std::uint32_t kTagRlre = 3;
 constexpr std::uint32_t kTagAbrt = 4;
 constexpr std::uint32_t kUserInfoTag = 30;
 
-Value user_info(const Bytes& data) {
-  return Value::context(kUserInfoTag, Value::octet_string(data));
+/// [APPLICATION tag] { body }, optionally closed by user-information [30].
+template <typename Body>
+Bytes build(std::uint32_t tag, Body&& body,
+            const ByteSpan* user_information = nullptr) {
+  return asn1::encode_with([&](Writer& w) {
+    w.constructed(asn1::TagClass::Application, tag, [&] {
+      body(w);
+      if (user_information != nullptr)
+        w.context(kUserInfoTag, [&] { w.octets(*user_information); });
+    });
+  });
 }
 
-Bytes user_info_of(const Value& apdu) {
-  if (const Value* ui = apdu.find_context(kUserInfoTag);
-      ui != nullptr && ui->size() == 1)
-    return ui->child(0).as_octets().value_or({});
+/// user-information [30]: the first [30] component, when it wraps exactly
+/// one primitive value.
+Bytes user_info_of(const Tlv& apdu) {
+  Tlv wrapper, v;
+  ByteSpan data;
+  if (apdu.find_context(kUserInfoTag, wrapper) && wrapper.unwrap(v) &&
+      v.octets(data) == asn1::kOk)
+    return Bytes(data.begin(), data.end());
   return {};
 }
 }  // namespace
 
 Bytes build_aarq(const std::vector<std::uint32_t>& context,
-                 const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagAarq, values(Value::integer(1), Value::oid(context),
-                       user_info(user_information))));
+                 ByteSpan user_information) {
+  return build(
+      kTagAarq,
+      [&](Writer& w) {
+        w.integer(1);
+        w.oid(context);
+      },
+      &user_information);
 }
 
 Bytes build_aare(AcseResult result, const std::vector<std::uint32_t>& context,
-                 const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagAare, values(Value::enumerated(static_cast<int>(result)),
-                       Value::oid(context), user_info(user_information))));
+                 ByteSpan user_information) {
+  return build(
+      kTagAare,
+      [&](Writer& w) {
+        w.integer(static_cast<int>(result), asn1::UniversalTag::Enumerated);
+        w.oid(context);
+      },
+      &user_information);
 }
 
-Bytes build_rlrq(int reason, const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagRlrq, values(Value::integer(reason), user_info(user_information))));
+Bytes build_rlrq(int reason, ByteSpan user_information) {
+  return build(kTagRlrq, [&](Writer& w) { w.integer(reason); },
+               &user_information);
 }
 
-Bytes build_rlre(int reason, const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagRlre, values(Value::integer(reason), user_info(user_information))));
+Bytes build_rlre(int reason, ByteSpan user_information) {
+  return build(kTagRlre, [&](Writer& w) { w.integer(reason); },
+               &user_information);
 }
 
 Bytes build_abrt(int source) {
-  return asn1::encode(
-      Value::application(kTagAbrt, values(Value::enumerated(source))));
+  return build(kTagAbrt, [&](Writer& w) {
+    w.integer(source, asn1::UniversalTag::Enumerated);
+  });
 }
 
-Result<AcseApdu> parse_acse(const Bytes& raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& v = decoded.value();
-  if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
+Result<AcseApdu> parse_acse(ByteSpan raw) {
+  Tlv v;
+  if (asn1::Asn1Error e = asn1::read_one(raw, v)) return asn1::to_error(e);
+  if (v.cls != asn1::TagClass::Application || !v.constructed)
     return Error::make(asn1::kBadTag, "not an ACSE APDU");
 
   AcseApdu apdu;
   apdu.user_information = user_info_of(v);
-  switch (v.tag()) {
-    case kTagAarq: {
-      apdu.type = AcseApdu::Type::AARQ;
-      if (v.size() < 2) return Error::make(asn1::kBadTag, "short AARQ");
-      apdu.version = static_cast<int>(v.child(0).as_int().value_or(1));
-      auto ctx = v.child(1).as_oid();
-      if (!ctx.ok()) return ctx.error();
-      apdu.context = ctx.value();
-      return apdu;
-    }
+  Reader fields = v.enter();
+  const std::size_t n = fields.count();
+  Tlv first, second;
+  // read_one checked every component, so these reads cannot fail.
+  if (n >= 1) (void)fields.next(first);
+  if (n >= 2) (void)fields.next(second);
+  switch (v.tag) {
+    case kTagAarq:
     case kTagAare: {
-      apdu.type = AcseApdu::Type::AARE;
-      if (v.size() < 2) return Error::make(asn1::kBadTag, "short AARE");
-      apdu.result = static_cast<AcseResult>(
-          v.child(0).as_int().value_or(1));
-      auto ctx = v.child(1).as_oid();
-      if (!ctx.ok()) return ctx.error();
-      apdu.context = ctx.value();
+      const bool aarq = v.tag == kTagAarq;
+      apdu.type = aarq ? AcseApdu::Type::AARQ : AcseApdu::Type::AARE;
+      if (n < 2)
+        return Error::make(asn1::kBadTag, aarq ? "short AARQ" : "short AARE");
+      if (aarq)
+        apdu.version = static_cast<int>(first.integer_or(1));
+      else
+        apdu.result = static_cast<AcseResult>(first.integer_or(1));
+      if (asn1::Asn1Error e = second.oid(apdu.context))
+        return asn1::to_error(e);
       return apdu;
     }
     case kTagRlrq:
-    case kTagRlre: {
-      apdu.type =
-          v.tag() == kTagRlrq ? AcseApdu::Type::RLRQ : AcseApdu::Type::RLRE;
-      if (v.size() >= 1)
-        apdu.reason = static_cast<int>(v.child(0).as_int().value_or(0));
+    case kTagRlre:
+    case kTagAbrt:
+      apdu.type = v.tag == kTagRlrq   ? AcseApdu::Type::RLRQ
+                  : v.tag == kTagRlre ? AcseApdu::Type::RLRE
+                                      : AcseApdu::Type::ABRT;
+      if (n >= 1) apdu.reason = static_cast<int>(first.integer_or(0));
       return apdu;
-    }
-    case kTagAbrt: {
-      apdu.type = AcseApdu::Type::ABRT;
-      if (v.size() >= 1)
-        apdu.reason = static_cast<int>(v.child(0).as_int().value_or(0));
-      return apdu;
-    }
     default:
       return Error::make(asn1::kBadTag, "unknown ACSE APDU tag");
   }

@@ -50,14 +50,14 @@ struct AcseApdu {
 };
 
 common::Bytes build_aarq(const std::vector<std::uint32_t>& context,
-                         const common::Bytes& user_information);
+                         common::ByteSpan user_information);
 common::Bytes build_aare(AcseResult result,
                          const std::vector<std::uint32_t>& context,
-                         const common::Bytes& user_information);
-common::Bytes build_rlrq(int reason, const common::Bytes& user_information);
-common::Bytes build_rlre(int reason, const common::Bytes& user_information);
+                         common::ByteSpan user_information);
+common::Bytes build_rlrq(int reason, common::ByteSpan user_information);
+common::Bytes build_rlre(int reason, common::ByteSpan user_information);
 common::Bytes build_abrt(int source);
-common::Result<AcseApdu> parse_acse(const common::Bytes& raw);
+common::Result<AcseApdu> parse_acse(common::ByteSpan raw);
 
 /// The ACSE protocol machine. upper(): presentation-service kinds (so an
 /// MCA or another ACSE user plugs in unchanged); lower(): connect to

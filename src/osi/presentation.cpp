@@ -4,8 +4,10 @@
 
 namespace mcam::osi {
 
-using asn1::Value;
-using asn1::values;
+using asn1::Reader;
+using asn1::Tlv;
+using asn1::Writer;
+using common::ByteSpan;
 using common::Bytes;
 using estelle::Interaction;
 using estelle::kAnyState;
@@ -17,92 +19,104 @@ constexpr std::uint32_t kTagCpa = 2;
 constexpr std::uint32_t kTagCpr = 3;
 constexpr std::uint32_t kTagTd = 4;
 
-Bytes wrap(std::uint32_t tag, Value body) {
-  return asn1::encode(Value::context(tag, std::move(body)));
+/// [tag] EXPLICIT SEQUENCE { body }, the shape of every PPDU.
+template <typename Body>
+Bytes build(std::uint32_t tag, Body&& body) {
+  return asn1::encode_with([&](Writer& w) {
+    w.context(tag, [&] { w.sequence([&] { body(w); }); });
+  });
+}
+
+/// The CP/CPA presentation-context list with one entry.
+template <typename Entry>
+void context_list(Writer& w, Entry&& entry) {
+  w.sequence([&] { w.sequence([&] { entry(); }); });
+}
+
+/// user-data [0]: the first [0] component, when it wraps exactly one
+/// primitive value.
+Bytes user_data_of(const Tlv& seq) {
+  Tlv wrapper, v;
+  ByteSpan data;
+  if (seq.find_context(0, wrapper) && wrapper.unwrap(v) &&
+      v.octets(data) == asn1::kOk)
+    return Bytes(data.begin(), data.end());
+  return {};
 }
 }  // namespace
 
-Bytes build_cp(int context_id, const Bytes& user_data) {
-  Value ctx = Value::sequence(
-      values(Value::integer(context_id), Value::oid(oids::kMcamAbstractSyntax),
-             Value::sequence(values(Value::oid(oids::kBerTransferSyntax)))));
-  Value body = Value::sequence(
-      values(Value::sequence(values(std::move(ctx))),
-             Value::context(0, Value::octet_string(user_data))));
-  return wrap(kTagCp, std::move(body));
+Bytes build_cp(int context_id, ByteSpan user_data) {
+  return build(kTagCp, [&](Writer& w) {
+    context_list(w, [&] {
+      w.integer(context_id);
+      w.oid(oids::kMcamAbstractSyntax);
+      w.sequence([&] { w.oid(oids::kBerTransferSyntax); });
+    });
+    w.context(0, [&] { w.octets(user_data); });
+  });
 }
 
-Bytes build_cpa(int context_id, const Bytes& user_data) {
-  Value result = Value::sequence(
-      values(Value::integer(context_id),
-             Value::enumerated(0),  // acceptance
-             Value::oid(oids::kBerTransferSyntax)));
-  Value body = Value::sequence(
-      values(Value::sequence(values(std::move(result))),
-             Value::context(0, Value::octet_string(user_data))));
-  return wrap(kTagCpa, std::move(body));
+Bytes build_cpa(int context_id, ByteSpan user_data) {
+  return build(kTagCpa, [&](Writer& w) {
+    context_list(w, [&] {
+      w.integer(context_id);
+      w.integer(0, asn1::UniversalTag::Enumerated);  // acceptance
+      w.oid(oids::kBerTransferSyntax);
+    });
+    w.context(0, [&] { w.octets(user_data); });
+  });
 }
 
-Bytes build_cpr(int reason, const Bytes& user_data) {
-  Value body = Value::sequence(
-      values(Value::enumerated(reason),
-             Value::context(0, Value::octet_string(user_data))));
-  return wrap(kTagCpr, std::move(body));
+Bytes build_cpr(int reason, ByteSpan user_data) {
+  return build(kTagCpr, [&](Writer& w) {
+    w.integer(reason, asn1::UniversalTag::Enumerated);
+    w.context(0, [&] { w.octets(user_data); });
+  });
 }
 
-Bytes build_td(int context_id, const Bytes& user_data) {
-  Value body = Value::sequence(
-      values(Value::integer(context_id), Value::octet_string(user_data)));
-  return wrap(kTagTd, std::move(body));
+Bytes build_td(int context_id, ByteSpan user_data) {
+  return build(kTagTd, [&](Writer& w) {
+    w.integer(context_id);
+    w.octets(user_data);
+  });
 }
 
-common::Result<PpduView> parse_ppdu(const Bytes& raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& outer = decoded.value();
-  if (outer.tag_class() != asn1::TagClass::ContextSpecific ||
-      !outer.constructed() || outer.size() != 1)
+common::Result<PpduView> parse_ppdu(ByteSpan raw) {
+  Tlv outer;
+  if (asn1::Asn1Error e = asn1::read_one(raw, outer))
+    return asn1::to_error(e);
+  Tlv body;
+  if (outer.cls != asn1::TagClass::ContextSpecific || !outer.unwrap(body))
     return common::Error::make(asn1::kBadTag, "malformed PPDU wrapper");
-  const Value& body = outer.child(0);
 
   PpduView v;
-  auto user_data_of = [&](const Value& seq) -> Bytes {
-    if (const Value* ud = seq.find_context(0); ud && ud->size() == 1)
-      return ud->child(0).as_octets().value_or({});
-    return {};
-  };
-
-  switch (outer.tag()) {
-    case kTagCp: {
-      v.type = PpduView::Type::CP;
-      if (body.size() >= 1 && body.child(0).size() >= 1 &&
-          body.child(0).child(0).size() >= 1)
-        v.context_id = static_cast<int>(
-            body.child(0).child(0).child(0).as_int().value_or(0));
-      v.user_data = user_data_of(body);
-      return v;
-    }
+  switch (outer.tag) {
+    case kTagCp:
     case kTagCpa: {
-      v.type = PpduView::Type::CPA;
-      if (body.size() >= 1 && body.child(0).size() >= 1 &&
-          body.child(0).child(0).size() >= 1)
-        v.context_id = static_cast<int>(
-            body.child(0).child(0).child(0).as_int().value_or(0));
+      v.type = outer.tag == kTagCp ? PpduView::Type::CP : PpduView::Type::CPA;
+      // context-id of the first entry of the context list.
+      Tlv list, entry, id;
+      if (body.first(list) && list.first(entry) && entry.first(id))
+        v.context_id = static_cast<int>(id.integer_or(0));
       v.user_data = user_data_of(body);
       return v;
     }
     case kTagCpr: {
       v.type = PpduView::Type::CPR;
-      if (body.size() >= 1)
-        v.reason = static_cast<int>(body.child(0).as_int().value_or(0));
+      if (Tlv reason; body.first(reason))
+        v.reason = static_cast<int>(reason.integer_or(0));
       v.user_data = user_data_of(body);
       return v;
     }
     case kTagTd: {
       v.type = PpduView::Type::TD;
-      if (body.size() >= 2) {
-        v.context_id = static_cast<int>(body.child(0).as_int().value_or(0));
-        v.user_data = body.child(1).as_octets().value_or({});
+      Reader fields = body.enter();
+      Tlv id, data;
+      ByteSpan octets;
+      if (fields.next(id) == asn1::kOk && fields.next(data) == asn1::kOk) {
+        v.context_id = static_cast<int>(id.integer_or(0));
+        if (data.octets(octets) == asn1::kOk)
+          v.user_data.assign(octets.begin(), octets.end());
       }
       return v;
     }

@@ -74,10 +74,10 @@ class PresentationModule : public estelle::Module {
 };
 
 // PPDU codec helpers (exposed for tests and the hand-coded ISODE stack).
-common::Bytes build_cp(int context_id, const common::Bytes& user_data);
-common::Bytes build_cpa(int context_id, const common::Bytes& user_data);
-common::Bytes build_cpr(int reason, const common::Bytes& user_data);
-common::Bytes build_td(int context_id, const common::Bytes& user_data);
+common::Bytes build_cp(int context_id, common::ByteSpan user_data);
+common::Bytes build_cpa(int context_id, common::ByteSpan user_data);
+common::Bytes build_cpr(int reason, common::ByteSpan user_data);
+common::Bytes build_td(int context_id, common::ByteSpan user_data);
 
 struct PpduView {
   enum class Type { CP, CPA, CPR, TD } type;
@@ -87,6 +87,6 @@ struct PpduView {
 };
 /// Decode any of the four PPDUs. The outer wrapper distinguishes them with
 /// a context tag: [1] CP, [2] CPA, [3] CPR, [4] TD.
-common::Result<PpduView> parse_ppdu(const common::Bytes& raw);
+common::Result<PpduView> parse_ppdu(common::ByteSpan raw);
 
 }  // namespace mcam::osi

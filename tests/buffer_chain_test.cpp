@@ -193,10 +193,11 @@ TEST(BufferChain, RandomizedInterleavingMatchesReference) {
       ref_head += n;
     }
     ASSERT_EQ(c.size(), ref.size() - ref_head);
-    if (op % 97 == 0)
+    if (op % 97 == 0) {
       ASSERT_EQ(gather(c),
                 Bytes(ref.begin() + static_cast<std::ptrdiff_t>(ref_head),
                       ref.end()));
+    }
     if (ref_head == ref.size() && ref.size() > (1u << 20)) {
       ref.clear();
       ref_head = 0;

@@ -424,9 +424,10 @@ TEST(DistRunner, NodeParallelLoopbackSweepMatchesSequential) {
       expect_matches_baseline(seq, nodes);
       for (const NodeOutcome& node : nodes) {
         parallel_rounds += node.report.transport.parallel_shard_rounds;
-        if (workers == 1)
+        if (workers == 1) {
           EXPECT_EQ(node.report.transport.parallel_shard_rounds, 0u)
               << "worker_count 1 must keep the sequential loop";
+        }
       }
       if (HasFatalFailure()) return;
     }
@@ -614,9 +615,10 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
         for (const NodeOutcome& node : nodes) {
           (batch ? batched_frames : unbatched_frames) +=
               node.report.transport.frames_sent;
-          if (!batch)
+          if (!batch) {
             EXPECT_EQ(node.report.transport.frames_batched, 0u)
                 << "unbatched mode must not emit TransferBatch frames";
+          }
         }
       }
       {
@@ -942,7 +944,9 @@ TEST(DistRunner, MultiProcessUnixSocketDifferential) {
     ++swept;
     if (HasFatalFailure()) return;
   }
-  if (n >= 50) EXPECT_GE(swept, 10);
+  if (n >= 50) {
+    EXPECT_GE(swept, 10);
+  }
 #endif
 }
 
@@ -1189,7 +1193,9 @@ TEST(DistRunner, KilledPeerAbortsSurvivorWithStructuredError) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFSIGNALED(status));
-  if (WIFSIGNALED(status)) EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  }
   std::filesystem::remove_all(dir);
 #endif
 }

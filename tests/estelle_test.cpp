@@ -439,7 +439,7 @@ struct PingPongWorld {
    public:
     Ping(std::string name, std::vector<int>& log, int budget)
         : Module(std::move(name), Attribute::Process) {
-      auto& out = ip("out");
+      ip("out");
       trans("serve")
           .provided([this, budget](Module&, const Interaction*) {
             return served < budget;

@@ -322,7 +322,9 @@ TEST(DistSessionFailure, RetryBudgetExhaustedIsStructuredAbortWithinGate) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFSIGNALED(status));
-  if (WIFSIGNALED(status)) EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+  }
   std::filesystem::remove_all(dir);
 #endif
 }

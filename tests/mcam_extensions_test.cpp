@@ -3,6 +3,7 @@
 // notifications during playback.
 #include <gtest/gtest.h>
 
+#include "asn1/ber.hpp"
 #include "common/rng.hpp"
 #include "mcam/testbed.hpp"
 
@@ -84,8 +85,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FilterCodecProperty,
                          ::testing::Values(11, 22, 33, 44));
 
 TEST(FilterCodec, RejectsMalformedNodes) {
-  EXPECT_FALSE(decode_filter(asn1::Value::integer(5)).ok());
-  EXPECT_FALSE(decode_filter(asn1::Value::context(9, asn1::Value::null())).ok());
+  EXPECT_FALSE(decode_filter(asn1::encode(asn1::Value::integer(5))).ok());
+  EXPECT_FALSE(decode_filter(asn1::encode(
+                                 asn1::Value::context(9, asn1::Value::null())))
+                   .ok());
   // Depth bomb.
   Filter f = Filter::all();
   for (int i = 0; i < 40; ++i) f = Filter::not_(f);

@@ -9,6 +9,8 @@
 namespace mcam::core {
 namespace {
 
+using common::ByteSpan;
+
 template <typename T>
 void expect_roundtrip(const T& pdu) {
   const Bytes wire = encode(Pdu{pdu});
@@ -159,6 +161,34 @@ TEST(McamPdus, DecodeRejectsWrongFieldTypes) {
       static_cast<std::uint32_t>(Op::MovieDeleteReq),
       {asn1::Value::ia5string("not-an-integer")}));
   EXPECT_FALSE(decode(wire).ok());
+}
+
+// A high tag number that does not fit 32 bits must not wrap: 7f 90 80 80
+// ed 31 is tag 2^32 + 14001, which once read as PositionInd (14001).
+TEST(McamPdus, TagNumberBeyond32BitsIsRejected) {
+  Bytes wire = encode(Pdu{PositionInd{7, 1234}});
+  ASSERT_EQ(common::hexdump(ByteSpan{wire}.first(3), 3), "7f ed 31");
+  const Bytes overflow = {0x90, 0x80, 0x80};
+  wire.insert(wire.begin() + 1, overflow.begin(), overflow.end());
+  auto decoded = decode(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, asn1::kBadTag);
+  auto op = peek_op(wire);
+  ASSERT_FALSE(op.ok());
+  EXPECT_EQ(op.error().code, asn1::kBadTag);
+  auto tree = asn1::decode(wire);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.error().code, asn1::kBadTag);
+
+  // The largest 32-bit tag number still decodes.
+  const Bytes max_tag = asn1::encode(asn1::Value::application(0xffffffffu, {}));
+  EXPECT_EQ(common::hexdump(max_tag, max_tag.size()), "7f 8f ff ff ff 7f 00");
+  auto v = asn1::decode(max_tag);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value().tag(), 0xffffffffu);
+  auto peeked = peek_op(max_tag);
+  ASSERT_TRUE(peeked.ok());
+  EXPECT_EQ(static_cast<std::uint32_t>(peeked.value()), 0xffffffffu);
 }
 
 TEST(McamPdus, TruncatedWireNeverDecodes) {

@@ -140,7 +140,9 @@ TEST_P(TransportLossTest, ArqDelivers100PercentInOrder) {
   while (w.user_b().has_input())
     EXPECT_EQ(w.user_b().pop().payload[0], expected++);
   EXPECT_EQ(expected, static_cast<int>(kMessages));
-  if (GetParam() > 0.0) EXPECT_GT(w.a->retransmissions(), 0u);
+  if (GetParam() > 0.0) {
+    EXPECT_GT(w.a->retransmissions(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LossSweep, TransportLossTest,
